@@ -248,6 +248,16 @@ func TestAppendEquivalence(t *testing.T) {
 				if !bytes.Equal(readFile(t, osLog), seqLogBytes) {
 					t.Fatalf("workers=%d: one-shot update outcome log differs from cold", workers)
 				}
+
+				// A log-less update (geovalidate -update-from without
+				// -outcomes) only reads the previous log.
+				noLog, err := UpdateValidation(manifest, prev, prevLog, StreamOptions{Workers: workers, OutcomeLog: ""})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(resultJSON(t, noLog), coldJSON) {
+					t.Fatalf("workers=%d: log-less update JSON differs from cold", workers)
+				}
 			}
 
 			// The cold generational aggregate equals the unsplit corpus

@@ -28,6 +28,7 @@ package geosocial
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,20 +219,10 @@ func ValidateFileOpts(path string, opts StreamOptions) (*StreamResult, error) {
 		(info.IsDir() || strings.HasSuffix(path, trace.ManifestSuffix)) {
 		return validateShardSet(path, opts)
 	}
-	stream, err := trace.OpenStream(path)
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	defer stream.Close()
-	db, err := stream.DB()
-	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
-	}
-	res, err := validateSources(stream.Name, db, []trace.FrameSource{stream.Frames()}, []string{path}, opts, nil, nil)
+	res, err := ValidatePaths([]string{path}, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Format = stream.Format
 	res.Shards = nil // a plain file is not a shard set
 	return res, nil
 }
@@ -247,13 +238,6 @@ func ValidatePaths(paths []string, opts StreamOptions) (*StreamResult, error) {
 		return nil, fmt.Errorf("geosocial: no dataset paths")
 	}
 	streams := make([]*trace.DatasetStream, len(paths))
-	defer func() {
-		for _, s := range streams {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
 	srcs := make([]trace.FrameSource, len(paths))
 	var refSum string
 	for i, p := range paths {
@@ -261,18 +245,22 @@ func ValidatePaths(paths []string, opts StreamOptions) (*StreamResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
+		defer s.Close()
 		streams[i] = s
+		srcs[i] = s.Frames()
 		if i == 0 {
-			refSum = trace.POIChecksum(s.POIs)
+			continue
 		}
 		if s.Name != streams[0].Name {
 			return nil, fmt.Errorf("geosocial: %s holds dataset %q, %s holds %q",
 				p, s.Name, paths[0], streams[0].Name)
 		}
+		if refSum == "" {
+			refSum = trace.POIChecksum(streams[0].POIs)
+		}
 		if trace.POIChecksum(s.POIs) != refSum {
 			return nil, fmt.Errorf("geosocial: %s and %s carry different POI tables", paths[0], p)
 		}
-		srcs[i] = s.Frames()
 	}
 	db, err := streams[0].DB()
 	if err != nil {
@@ -286,85 +274,47 @@ func ValidatePaths(paths []string, opts StreamOptions) (*StreamResult, error) {
 	return res, nil
 }
 
-// genSet carries a generational shard set's fold state through
-// validateSources: the decoded delta content, the generation to stamp on
-// the result, and — per manifest shard — the expected number of
-// brand-new users (-1 for base shards, which are verified by their
-// reader's frame count instead).
-type genSet struct {
-	ds         *trace.DeltaSet
-	generation int
-	newUsers   []int
-}
-
 // validateShardSet validates a manifest-described sharded corpus.
 //
-// A generational set (manifest Generation > 0) validates by folding: the
-// delta shards are decoded up front into a DeltaSet (O(appended data)),
-// every base-shard source is wrapped so touched users decode with their
-// delta frames folded in, and users that exist only in delta shards are
-// validated in a post-pass attributed to their home delta shard. The
-// result is byte-identical to validating a from-scratch corpus of the
-// concatenated data, modulo the per-shard layout. Checkpointing is
-// skipped for generational sets: a delta changes every touched user's
-// fold, so per-shard fragments keyed on shard content alone would be
-// unsound.
+// A generational set (manifest Generation > 0) takes the folded plan:
+// the delta shards are decoded up front into a DeltaSet (O(appended
+// data)), every base-shard source is wrapped so touched users decode
+// with their delta frames folded in, and users that exist only in delta
+// shards are validated in a post-pass attributed to their home delta
+// shard. The result is byte-identical to validating a from-scratch
+// corpus of the concatenated data, modulo the per-shard layout.
+// Checkpointing is skipped for generational sets: a delta changes every
+// touched user's fold, so per-shard fragments keyed on shard content
+// alone would be unsound.
 func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 	ss, err := trace.OpenShardSet(path)
 	if err != nil {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	k := len(ss.Manifest.Shards)
-	var gen *genSet
+	var fold *trace.DeltaSet
 	if ss.Manifest.Generation > 0 {
-		// The up-front delta decode is corpus-wide fold work, attributed
-		// to the pseudo-shard "corpus" in the span report.
-		foldCell := opts.Spans.Stage("fold", "corpus")
-		var t0 time.Time
-		if foldCell != nil {
-			t0 = time.Now()
+		if fold, err = foldIndex(opts.Spans, func() (*trace.DeltaSet, error) { return trace.MergeSets(ss) }); err != nil {
+			return nil, err
 		}
-		ds, err := trace.MergeSets(ss)
-		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		if foldCell != nil {
-			foldCell.Observe(len(ds.IDs()), time.Since(t0))
-		}
-		gen = &genSet{ds: ds, generation: ss.Manifest.Generation, newUsers: make([]int, k)}
 	}
-	readers := make([]*trace.ShardReader, k)
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
 	srcs := make([]trace.FrameSource, k)
-	labels := make([]string, k)
+	labels := shardLabels(ss)
 	var db *poi.DB
 	for i := 0; i < k; i++ {
-		labels[i] = ss.Manifest.Shards[i].File
-		if gen != nil && ss.Manifest.Shards[i].Delta {
+		if ss.Manifest.Shards[i].Delta {
 			// Delta shards are not streamed — their content is already in
 			// the DeltaSet — but they keep a stats slot for the new users
 			// attributed to them.
-			gen.newUsers[i] = ss.Manifest.Shards[i].NewUsers
 			continue
-		}
-		if gen != nil {
-			gen.newUsers[i] = -1
 		}
 		r, err := ss.OpenShard(i)
 		if err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
 		}
-		readers[i] = r
-		if gen != nil {
-			srcs[i] = gen.ds.FoldSource(r)
-		} else {
-			srcs[i] = r
+		defer r.Close()
+		if srcs[i] = r; fold != nil {
+			srcs[i] = fold.FoldSource(r)
 		}
 		if db == nil {
 			if db, err = poi.NewDB(r.POIs()); err != nil {
@@ -376,39 +326,73 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 		return nil, fmt.Errorf("geosocial: %s: shard set has no base shards", path)
 	}
 	var ck *ckptRun
-	if gen == nil {
+	if fold == nil {
 		if ck, err = openCheckpoints(ss, labels, opts); err != nil {
 			return nil, err
 		}
 	} else if opts.CheckpointDir != "" && opts.Logf != nil {
-		opts.Logf("geosocial: generational shard set (generation %d): checkpointing skipped", gen.generation)
+		opts.Logf("geosocial: generational shard set (generation %d): checkpointing skipped", ss.Manifest.Generation)
 	}
-	res, err := validateSources(ss.Manifest.Name, db, srcs, labels, opts, ck, gen)
+	res, err := validateSources(ss.Manifest.Name, db, srcs, labels, opts, ck, fold)
 	if err != nil {
 		return nil, err
 	}
 	res.Format = trace.FormatBinary
+	res.Generation = ss.Manifest.Generation
+	if err := checkNewUsers(ss, res.Shards); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
+// foldIndex builds a plan's fold index up front: corpus-wide fold work,
+// attributed to the pseudo-shard "corpus" in the span report.
+func foldIndex(spans *obs.Collector, build func() (*trace.DeltaSet, error)) (*trace.DeltaSet, error) {
+	tm := spans.Stage("fold", "corpus").Start()
+	ds, err := build()
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
+	}
+	tm.Stop(ds.Len())
+	return ds, nil
+}
+
+// shardLabels returns the manifest's shard file names, the per-shard
+// labels of stats, spans and error messages.
+func shardLabels(ss *trace.ShardSet) []string {
+	labels := make([]string, len(ss.Manifest.Shards))
+	for i, info := range ss.Manifest.Shards {
+		labels[i] = info.File
+	}
+	return labels
+}
+
+// checkNewUsers cross-checks the manifest's per-delta-shard accounting:
+// a delta shard's stats slot holds exactly the brand-new users it
+// introduced.
+func checkNewUsers(ss *trace.ShardSet, stats []ShardStat) error {
+	for i, info := range ss.Manifest.Shards {
+		if info.Delta && stats[i].Users != info.NewUsers {
+			return fmt.Errorf("geosocial: delta shard %s introduced %d new users, manifest says %d",
+				info.File, stats[i].Users, info.NewUsers)
+		}
+	}
+	return nil
+}
+
 // ckptRun carries one sharded validation's checkpoint state: the open
-// store, each shard's content checksum and manifest user count, and —
-// for shards whose checkpoint was found at preload — the persisted
-// aggregates and user IDs to merge instead of revalidating.
+// store, the preloaded fragments of skipped shards and the open
+// fragments of live ones. A nil *ckptRun does not checkpoint: every
+// method is a no-op, so the streaming loop has no checkpoint branches.
 type ckptRun struct {
 	store *checkpoint.Store
 	sums  []string           // per-shard content checksum (key half)
 	want  []int              // per-shard manifest user count
 	metas []*checkpoint.Meta // non-nil marks a checkpointed (skipped) shard
-	ids   [][]int            // the user IDs a skipped shard contributed
+	ids   [][]int            // a skipped shard's stored user IDs; a live shard's so far
+	frags []*checkpoint.Frag // a live shard's fragment until it commits
+	srcs  []*ckptSource      // a live shard's end-of-stream latch
 	logf  func(format string, args ...any)
-}
-
-// logff forwards to the run's Logf when set.
-func (c *ckptRun) logff(format string, args ...any) {
-	if c.logf != nil {
-		c.logf(format, args...)
-	}
 }
 
 // openCheckpoints opens the checkpoint store for a shard set and
@@ -439,7 +423,12 @@ func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*
 		want:  make([]int, k),
 		metas: make([]*checkpoint.Meta, k),
 		ids:   make([][]int, k),
+		frags: make([]*checkpoint.Frag, k),
+		srcs:  make([]*ckptSource, k),
 		logf:  opts.Logf,
+	}
+	if ck.logf == nil {
+		ck.logf = func(string, ...any) {}
 	}
 	for i, info := range ss.Manifest.Shards {
 		ck.want[i] = info.Users
@@ -450,7 +439,7 @@ func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*
 		ck.sums[i] = sum
 		m, ids, err := store.Load(sum, nil)
 		if err != nil {
-			ck.logff("geosocial: shard %s: checkpoint unreadable, revalidating: %v", labels[i], err)
+			ck.logf("geosocial: shard %s: checkpoint unreadable, revalidating: %v", labels[i], err)
 			if err := store.Remove(sum); err != nil {
 				return nil, fmt.Errorf("geosocial: %w", err)
 			}
@@ -461,12 +450,119 @@ func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*
 	return ck, nil
 }
 
+// hit reports whether shard i was checkpointed and is not streamed.
+func (c *ckptRun) hit(i int) bool { return c != nil && c.metas[i] != nil }
+
+// seed is the checkpointed plan: each skipped shard's counters and user
+// IDs go into its slot and the seen map, and its records replay into the
+// outcome log (Close canonicalizes record order).
+func (c *ckptRun) seed(e *engine) error {
+	for i, m := range c.metas {
+		if m == nil {
+			continue
+		}
+		e.stats[i].Users = m.Users
+		e.stats[i].Partition = m.Partition
+		maps.Copy(e.taxs[i], m.Taxonomy)
+		e.truths[i].AddCounts(m.Truth)
+		for _, id := range c.ids[i] {
+			if prev, dup := e.seen[id]; dup {
+				return fmt.Errorf("geosocial: duplicate user ID %d (%s and %s)", id, e.labels[prev], e.labels[i])
+			}
+			e.seen[id] = i
+		}
+		if e.logw != nil {
+			if _, _, err := c.store.Load(c.sums[i], func(data []byte) error {
+				rec, err := outcome.DecodeRecord(data)
+				if err != nil {
+					return err
+				}
+				return e.logw.Write(rec)
+			}); err != nil {
+				return fmt.Errorf("geosocial: replay checkpoint for %s: %w", e.labels[i], err)
+			}
+		}
+		c.logf("geosocial: shard %s: checkpoint hit, skipping (%d users)", e.labels[i], m.Users)
+	}
+	return nil
+}
+
+// source begins live shard i's fragment and returns the frame fetch to
+// stream it with: src's own when not checkpointing, otherwise one that
+// latches the shard's clean end of stream.
+func (c *ckptRun) source(i int, src trace.FrameSource) (func() (trace.Frame, error), error) {
+	if c == nil {
+		return src.NextFrame, nil
+	}
+	fr, err := c.store.Begin(c.sums[i])
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
+	}
+	c.frags[i] = fr
+	c.srcs[i] = &ckptSource{FrameSource: src}
+	return c.srcs[i].NextFrame, nil
+}
+
+// record adds one accounted user of live shard i to its fragment.
+func (c *ckptRun) record(i int, r userResult) error {
+	if c == nil {
+		return nil
+	}
+	c.ids[i] = append(c.ids[i], r.out.User.ID)
+	if r.recBytes != nil {
+		return c.frags[i].AddRecord(r.recBytes)
+	}
+	return nil
+}
+
+// commitReady publishes the fragment of every live shard that has been
+// fully consumed (clean EOF latched and all its users accounted). It
+// runs after each accounted user and once after the merge: in the
+// serial merge a shard's EOF is observed a round after its last user,
+// so the final sweep catches what the per-user polls cannot.
+func (c *ckptRun) commitReady(e *engine) error {
+	if c == nil {
+		return nil
+	}
+	for i, fr := range c.frags {
+		if fr == nil || !c.srcs[i].eof.Load() || e.stats[i].Users != c.want[i] {
+			continue
+		}
+		tm := e.spans[i].commit.Start()
+		err := fr.Commit(&checkpoint.Meta{
+			Users:     e.stats[i].Users,
+			Partition: e.stats[i].Partition,
+			Taxonomy:  e.taxs[i],
+			Truth:     e.truths[i].Counts(),
+		}, c.ids[i])
+		tm.Stop(e.stats[i].Users)
+		if err != nil {
+			return err
+		}
+		c.frags[i] = nil
+		c.logf("geosocial: shard %s: checkpoint written (%d users)", e.labels[i], e.stats[i].Users)
+	}
+	return nil
+}
+
+// abort drops every uncommitted fragment.
+func (c *ckptRun) abort() {
+	if c == nil {
+		return
+	}
+	for _, fr := range c.frags {
+		if fr != nil {
+			fr.Abort()
+		}
+	}
+}
+
 // ckptSource wraps a shard's FrameSource to record when the shard has
 // been fully and cleanly consumed. The flag is atomic because frames
 // are pulled on a producer goroutine while the commit decision runs on
 // the collecting goroutine; it is also deliberately non-blocking — in
 // the serial (workers == 1) merge, a shard's EOF is only observed one
-// round after its last user reaches the sink, so commits poll the flag
+// round after its last user is accounted, so commits poll the flag
 // instead of waiting on it.
 type ckptSource struct {
 	trace.FrameSource
@@ -485,417 +581,307 @@ func (c *ckptSource) NextFrame() (trace.Frame, error) {
 }
 
 // shardSpans bundles one shard's span cells, one per pipeline stage. A
-// zero shardSpans (spans disabled, or a shard never streamed) makes
-// every instrumentation site a single nil check — no clock read, no
-// allocation — which is the zero-cost-when-disabled contract.
-//
-// segment and match are the interface type core consumes; they are only
-// ever assigned non-nil cells, never typed-nil pointers, so core's own
-// nil checks stay meaningful.
+// nil cell (spans disabled, or a stage the shard's plan never runs)
+// times nothing: no clock read, no allocation — the
+// zero-cost-when-disabled contract.
 type shardSpans struct {
-	decode   *obs.Cell
-	fold     *obs.Cell
-	classify *obs.Cell
-	merge    *obs.Cell
-	commit   *obs.Cell
-	segment  core.StageObserver
-	match    core.StageObserver
+	decode, fold, segment, match, classify, merge, commit *obs.Cell
 }
 
-// newShardSpans creates the stage cells for one shard. commit and fold
-// cells exist only when the run checkpoints / folds, so the report
-// never carries zero-valued stages a run could not have executed.
-func newShardSpans(c *obs.Collector, shard string, ck, fold bool) shardSpans {
-	sp := shardSpans{
-		decode:   c.Stage("decode", shard),
-		classify: c.Stage("classify", shard),
-		merge:    c.Stage("merge", shard),
-		segment:  c.Stage("segment", shard),
-		match:    c.Stage("match", shard),
+// engine is the one per-user validation engine: the run state (per-shard
+// slots, seen-ID map, outcome writer, span cells), a process step on the
+// worker pool (segment → match → classify → record distil) and an
+// account step on the collecting goroutine. Each shard is fed by one of
+// four source plans: live (streamed, validateSources), checkpointed
+// (ckptRun.seed), folded (DeltaSet.FoldSource plus the new-user pass)
+// or update (UpdateValidation). The slots are commutative integer sums,
+// so every plan, and any mix of them, yields the bytes of one cold run.
+type engine struct {
+	opts    StreamOptions
+	v       core.Validator
+	cls     classify.Params
+	db      *poi.DB
+	name    string
+	labels  []string
+	stats   []ShardStat
+	taxs    []map[string]int
+	truths  []core.TruthAccum
+	seen    map[int]int // user ID -> shard index
+	spans   []shardSpans
+	logw    *outcome.Writer // nil unless the run writes its own log
+	records bool            // distil each user's outcome record
+	encode  bool            // and encode it, for a checkpoint fragment
+}
+
+// newEngine returns an engine with one empty slot per label.
+func newEngine(name string, db *poi.DB, labels []string, opts StreamOptions) *engine {
+	e := &engine{
+		opts:   opts,
+		v:      core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig},
+		cls:    classify.DefaultParams(),
+		db:     db,
+		name:   name,
+		labels: labels,
+		stats:  make([]ShardStat, len(labels)),
+		taxs:   make([]map[string]int, len(labels)),
+		truths: make([]core.TruthAccum, len(labels)),
+		seen:   make(map[int]int, 256),
+		spans:  make([]shardSpans, len(labels)),
 	}
-	if ck {
-		sp.commit = c.Stage("checkpoint-commit", shard)
+	for i := range labels {
+		e.stats[i].Path = labels[i]
+		e.taxs[i] = make(map[string]int, classify.NumKinds)
+	}
+	return e
+}
+
+// instrument creates shard i's span cells for the stages its plan runs:
+// the per-user stages, plus decode, fold and checkpoint-commit as asked.
+// No-op with spans off.
+func (e *engine) instrument(i int, decode, fold, commit bool) {
+	c, label := e.opts.Spans, e.labels[i]
+	if c == nil {
+		return
+	}
+	sp := &e.spans[i]
+	sp.segment, sp.match = c.Stage("segment", label), c.Stage("match", label)
+	sp.classify, sp.merge = c.Stage("classify", label), c.Stage("merge", label)
+	if decode {
+		sp.decode = c.Stage("decode", label)
 	}
 	if fold {
-		sp.fold = c.Stage("fold", shard)
+		sp.fold = c.Stage("fold", label)
 	}
-	return sp
+	if commit {
+		sp.commit = c.Stage("checkpoint-commit", label)
+	}
 }
 
-// validateSources is the shared multi-source validation engine behind
-// ValidateFileOpts, ValidatePaths and validateShardSet: fetch raw
-// frames per source, run decode + validate + classify per user on the
-// worker pool (par.MergeStreams), accumulate per-source statistics in
-// the deterministic merged order, and merge them in source order. The
-// aggregates are sums of per-user integer counts, so they are identical
-// to single-stream validation of the same users for any worker count
-// and any way of splitting the corpus.
-//
-// When ck is non-nil the run is checkpointed: sources whose fragment
-// was preloaded are not streamed — their persisted counters merge in
-// and their records replay into the outcome log — and every live
-// source commits a fragment the moment it is fully consumed, so a kill
-// at any point loses at most the shards still in flight. Checkpointed
-// and live shards contribute through the same commutative sums, which
-// is why a resumed result is byte-identical to an uninterrupted one.
-//
-// When gen is non-nil the run folds a generational shard set: entries
-// of srcs left nil (the delta shards) are not streamed, and after the
-// merge the users that exist only in delta shards are folded, validated
-// on the same pool, and accumulated against their home delta shard's
-// stats slot. gen and ck are mutually exclusive.
-func validateSources(name string, db *poi.DB, srcs []trace.FrameSource, labels []string, opts StreamOptions, ck *ckptRun, gen *genSet) (*StreamResult, error) {
-	v := &core.Validator{Params: opts.Params, VisitConfig: opts.VisitConfig}
-	clsParams := classify.DefaultParams()
-	res := &StreamResult{Name: name, Taxonomy: make(map[string]int, classify.NumKinds)}
-	n := len(srcs)
-	stats := make([]ShardStat, n)
-	taxs := make([]map[string]int, n)
-	truths := make([]core.TruthAccum, n)
-	for i := range stats {
-		stats[i].Path = labels[i]
-		taxs[i] = make(map[string]int, classify.NumKinds)
-	}
-	var logw *outcome.Writer
-	if opts.OutcomeLog != "" {
-		var err error
-		if logw, err = outcome.Create(opts.OutcomeLog, name); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
-		}
-		defer logw.Discard() // no-op once Close has published the log
-	}
-	seen := make(map[int]int, 256) // user ID -> source index
+// userResult is one processed user on its way to account.
+type userResult struct {
+	out      core.UserOutcome
+	cls      *classify.Classification
+	rec      *outcome.Record // outcome-log record, nil unless e.records
+	recBytes []byte          // its encoding, nil unless e.encode
+}
 
-	// Span cells, one bundle per shard that can stream (checkpoint-hit
-	// shards never run, so they never appear in the report). The slice
-	// stays all-zero when spans are off.
-	spans := make([]shardSpans, n)
-	if opts.Spans != nil {
-		for i := range srcs {
-			if ck != nil && ck.metas[i] != nil {
-				continue
-			}
-			// A nil source inside a generational set is a delta shard:
-			// its users run through the fold pass, not the merge.
-			isDelta := gen != nil && srcs[i] == nil
-			if srcs[i] == nil && !isDelta {
-				continue
-			}
-			spans[i] = newShardSpans(opts.Spans, labels[i], ck != nil && srcs[i] != nil, isDelta)
-		}
-	}
-
-	// Merge preloaded checkpoints: seed the skipped shards' counters and
-	// duplicate-ID set, and replay their records into the outcome log
-	// (the log writer canonicalizes record order at Close, so replayed
-	// and live records interleave freely).
-	var (
-		frags   []*checkpoint.Frag
-		wrapped []*ckptSource
-		ids     [][]int
-	)
-	if ck != nil {
-		frags = make([]*checkpoint.Frag, n)
-		wrapped = make([]*ckptSource, n)
-		ids = make([][]int, n)
-		defer func() {
-			for _, fr := range frags {
-				if fr != nil {
-					fr.Abort()
-				}
-			}
-		}()
-		for i := 0; i < n; i++ {
-			m := ck.metas[i]
-			if m == nil {
-				continue
-			}
-			stats[i].Users = m.Users
-			stats[i].Partition = m.Partition
-			for k, c := range m.Taxonomy {
-				taxs[i][k] = c
-			}
-			truths[i].AddCounts(m.Truth)
-			for _, id := range ck.ids[i] {
-				if prev, dup := seen[id]; dup {
-					return nil, fmt.Errorf("geosocial: duplicate user ID %d (%s and %s)", id, labels[prev], labels[i])
-				}
-				seen[id] = i
-			}
-			if logw != nil {
-				if _, _, err := ck.store.Load(ck.sums[i], func(data []byte) error {
-					rec, err := outcome.DecodeRecord(data)
-					if err != nil {
-						return err
-					}
-					return logw.Write(rec)
-				}); err != nil {
-					return nil, fmt.Errorf("geosocial: replay checkpoint for %s: %w", labels[i], err)
-				}
-			}
-			ck.logff("geosocial: shard %s: checkpoint hit, skipping (%d users)", labels[i], m.Users)
-		}
-	}
-
-	// The merged run streams only the live sources; live[j] maps the
-	// merge's source index back to the original shard index. A nil
-	// source is a generational set's delta shard: its content folds in
-	// through the base-shard sources and the post-merge new-user pass.
-	var live []int
-	var next []func() (trace.Frame, error)
-	for i := range srcs {
-		if srcs[i] == nil || (ck != nil && ck.metas[i] != nil) {
-			continue
-		}
-		live = append(live, i)
-		if ck != nil {
-			w := &ckptSource{FrameSource: srcs[i]}
-			wrapped[i] = w
-			next = append(next, w.NextFrame)
-			fr, err := ck.store.Begin(ck.sums[i])
-			if err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-			frags[i] = fr
-		} else {
-			next = append(next, srcs[i].NextFrame)
-		}
-	}
-
-	// commitReady publishes the fragment of every live shard that has
-	// been fully consumed (clean EOF latched and all its users through
-	// the sink). It runs after each sunk user and once after the merge:
-	// in the serial merge a shard's EOF is observed a round after its
-	// last user, so the final sweep catches what the per-user polls
-	// cannot.
-	commitReady := func() error {
-		if ck == nil {
-			return nil
-		}
-		for _, i := range live {
-			if frags[i] == nil || !wrapped[i].eof.Load() || stats[i].Users != ck.want[i] {
-				continue
-			}
-			commitCell := spans[i].commit
-			var t0 time.Time
-			if commitCell != nil {
-				t0 = time.Now()
-			}
-			err := frags[i].Commit(&checkpoint.Meta{
-				Users:     stats[i].Users,
-				Partition: stats[i].Partition,
-				Taxonomy:  taxs[i],
-				Truth:     truths[i].Counts(),
-			}, ids[i])
-			if commitCell != nil {
-				commitCell.Observe(stats[i].Users, time.Since(t0))
-			}
-			if err != nil {
-				return err
-			}
-			frags[i] = nil
-			ck.logff("geosocial: shard %s: checkpoint written (%d users)", labels[i], stats[i].Users)
-		}
-		return nil
-	}
-
-	type outcomeCls struct {
-		out      core.UserOutcome
-		cls      *classify.Classification
-		rec      *outcome.Record // outcome-log record, nil unless logging
-		recBytes []byte          // its encoding, nil unless checkpointing a logging run
-	}
-	// process runs the CPU-heavy per-user stages (validation,
-	// classification, record distillation) on the worker pool; account
-	// accumulates one user's outcome into a shard's stats slot on the
-	// collecting goroutine. Both the merged stream and the generational
-	// new-user pass go through the same pair, which is what makes the
-	// two paths' aggregates interchangeable.
-	process := func(u *trace.User, sp shardSpans) (outcomeCls, error) {
-		o, err := v.ValidateUserSpans(u, db, sp.segment, sp.match)
-		if err != nil {
-			return outcomeCls{}, err
-		}
-		var t0 time.Time
-		if sp.classify != nil {
-			t0 = time.Now()
-		}
-		cl, err := classify.ClassifyUser(o, clsParams)
-		if sp.classify != nil {
-			sp.classify.Observe(1, time.Since(t0))
-		}
-		if err != nil {
-			return outcomeCls{}, fmt.Errorf("classify: user %d: %w", o.User.ID, err)
-		}
-		oc := outcomeCls{out: o, cls: cl}
-		if logw != nil {
-			// Record distillation (feature extraction, Levy sampling)
-			// is CPU work, so it runs here on the pool; only the spool
-			// write happens on the collecting goroutine.
-			if oc.rec, err = outcome.NewRecord(o, cl); err != nil {
-				return outcomeCls{}, err
-			}
-			if ck != nil {
-				if oc.recBytes, err = outcome.EncodeRecord(oc.rec); err != nil {
-					return outcomeCls{}, err
-				}
-			}
-		}
-		return oc, nil
-	}
-	account := func(shard int, oc outcomeCls) error {
-		id := oc.out.User.ID
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("duplicate user ID %d (%s and %s)", id, labels[prev], labels[shard])
-		}
-		seen[id] = shard
-		stats[shard].Users++
-		stats[shard].Partition.Add(oc.out)
-		for _, k := range oc.cls.Kinds {
-			taxs[shard][k.String()]++
-		}
-		truths[shard].Add(oc.out)
-		if opts.validated != nil {
-			opts.validated(id)
-		}
-		if logw != nil {
-			return logw.Write(oc.rec)
-		}
-		return nil
-	}
-	// Recycle hook: once account has folded a user into the aggregates,
-	// nothing downstream holds the record (stats are counts, outcome
-	// records copy what they keep), so it goes back to its source's pool
-	// for the next decode to fill in place. Only sources that opt in via
-	// trace.UserRecycler participate — generational fold sources retain
-	// users across shards and deliberately do not implement it.
-	recyclers := make([]trace.UserRecycler, len(live))
-	for j, i := range live {
-		recyclers[j], _ = srcs[i].(trace.UserRecycler)
-	}
-	err := par.MergeStreams(opts.Workers, next,
-		func(j, _ int, fr trace.Frame) (outcomeCls, error) {
-			sp := spans[live[j]]
-			var t0 time.Time
-			if sp.decode != nil {
-				t0 = time.Now()
-			}
-			u, err := srcs[live[j]].DecodeFrame(fr)
-			if sp.decode != nil {
-				sp.decode.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return outcomeCls{}, err
-			}
-			return process(u, sp)
-		},
-		func(j, _ int, oc outcomeCls) error {
-			shard := live[j]
-			mergeCell := spans[shard].merge
-			var t0 time.Time
-			if mergeCell != nil {
-				t0 = time.Now()
-			}
-			err := account(shard, oc)
-			if mergeCell != nil {
-				mergeCell.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return err
-			}
-			if ck != nil {
-				ids[shard] = append(ids[shard], oc.out.User.ID)
-				if oc.recBytes != nil {
-					if err := frags[shard].AddRecord(oc.recBytes); err != nil {
-						return err
-					}
-				}
-			}
-			if recyclers[j] != nil {
-				recyclers[j].RecycleUser(oc.out.User)
-			}
-			return commitReady()
-		})
+// process runs the CPU-heavy per-user stages on the worker pool,
+// record distillation (feature extraction, Levy sampling) included;
+// only the log write waits for account.
+func (e *engine) process(u *trace.User, sp *shardSpans) (userResult, error) {
+	o, err := e.v.ValidateUser(u, e.db, sp.segment, sp.match)
 	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+		return userResult{}, err
 	}
-	if err := commitReady(); err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+	tm := sp.classify.Start()
+	cl, err := classify.ClassifyUser(o, e.cls)
+	tm.Stop(1)
+	if err != nil {
+		return userResult{}, fmt.Errorf("classify: user %d: %w", o.User.ID, err)
 	}
-	if gen != nil {
-		// Users that exist only in delta shards were never seen by the
-		// base-shard streams: fold and validate them now, in ascending ID
-		// order, attributed to the delta shard holding their first frame.
-		var newIDs []int
-		for _, id := range gen.ds.IDs() {
-			if _, ok := seen[id]; !ok {
-				newIDs = append(newIDs, id)
+	r := userResult{out: o, cls: cl}
+	if e.records {
+		if r.rec, err = outcome.NewRecord(o, cl); err != nil {
+			return userResult{}, err
+		}
+		if e.encode {
+			if r.recBytes, err = outcome.EncodeRecord(r.rec); err != nil {
+				return userResult{}, err
 			}
 		}
-		ocs, err := par.Map(opts.Workers, len(newIDs), func(i int) (outcomeCls, error) {
-			sp := spans[gen.ds.Home(newIDs[i])]
-			var t0 time.Time
-			if sp.fold != nil {
-				t0 = time.Now()
-			}
-			u, err := gen.ds.FoldNew(newIDs[i])
-			if sp.fold != nil {
-				sp.fold.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return outcomeCls{}, err
-			}
-			return process(u, sp)
-		})
+	}
+	return r, nil
+}
+
+// account adds one processed user to shard i's slot on the collecting
+// goroutine, rejecting a user ID already seen in any shard.
+func (e *engine) account(i int, r userResult) error {
+	tm := e.spans[i].merge.Start()
+	defer tm.Stop(1)
+	id := r.out.User.ID
+	if prev, dup := e.seen[id]; dup {
+		return fmt.Errorf("duplicate user ID %d (%s and %s)", id, e.labels[prev], e.labels[i])
+	}
+	e.seen[id] = i
+	e.stats[i].Users++
+	e.stats[i].Partition.Add(r.out)
+	for _, k := range r.cls.Kinds {
+		e.taxs[i][k.String()]++
+	}
+	e.truths[i].Add(r.out)
+	if e.opts.validated != nil {
+		e.opts.validated(id)
+	}
+	if e.logw != nil {
+		return e.logw.Write(r.rec)
+	}
+	return nil
+}
+
+// foldUsers folds and processes the given users of ds on the worker
+// pool, in order, each under its home shard's spans: the folded plan's
+// new-user pass and the update plan's touched users.
+func (e *engine) foldUsers(ds *trace.DeltaSet, ids []int) ([]userResult, error) {
+	return par.Map(e.opts.Workers, len(ids), func(i int) (userResult, error) {
+		sp := &e.spans[ds.Home(ids[i])]
+		tm := sp.fold.Start()
+		u, err := ds.FoldNew(ids[i])
+		tm.Stop(1)
 		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
+			return userResult{}, err
 		}
-		for i, oc := range ocs {
-			home := gen.ds.Home(newIDs[i])
-			mergeCell := spans[home].merge
-			var t0 time.Time
-			if mergeCell != nil {
-				t0 = time.Now()
-			}
-			err := account(home, oc)
-			if mergeCell != nil {
-				mergeCell.Observe(1, time.Since(t0))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-		}
-		// Cross-check the manifest's per-delta-shard accounting: a delta
-		// shard's stats slot holds exactly its brand-new users.
-		for i, want := range gen.newUsers {
-			if want >= 0 && stats[i].Users != want {
-				return nil, fmt.Errorf("geosocial: delta shard %s introduced %d new users, manifest says %d",
-					labels[i], stats[i].Users, want)
-			}
-		}
-		res.Generation = gen.generation
-	}
-	if logw != nil {
-		if err := logw.Close(); err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
+		return e.process(u, sp)
+	})
+}
+
+// finish publishes the outcome log and sums the shard slots, in shard
+// order, into the result. Zero taxonomy counts (an update can subtract a
+// kind away) are dropped, so the map matches a cold run's.
+func (e *engine) finish() (*StreamResult, error) {
+	if e.logw != nil {
+		if err := e.logw.Close(); err != nil {
+			return nil, err
 		}
 	}
-	res.Shards = stats
+	res := &StreamResult{Name: e.name, Shards: e.stats, Taxonomy: make(map[string]int, classify.NumKinds)}
 	var truth core.TruthAccum
-	for i := range stats {
-		res.Users += stats[i].Users
-		res.Partition.Merge(stats[i].Partition)
-		for k, c := range taxs[i] {
+	for i := range e.stats {
+		res.Users += e.stats[i].Users
+		res.Partition.Merge(e.stats[i].Partition)
+		for k, c := range e.taxs[i] {
 			res.Taxonomy[k] += c
 		}
-		truth.AddCounts(truths[i].Counts())
+		truth.Merge(e.truths[i])
+	}
+	for k, c := range res.Taxonomy {
+		if c < 0 {
+			return nil, fmt.Errorf("taxonomy count %q went negative", k)
+		}
+		if c == 0 {
+			delete(res.Taxonomy, k)
+		}
 	}
 	if truth.Labeled() > 0 {
 		sc, err := truth.Score()
 		if err != nil {
-			return nil, fmt.Errorf("geosocial: %w", err)
+			return nil, err
 		}
 		res.Truth = &sc
+	}
+	return res, nil
+}
+
+// validateSources runs the engine behind ValidateFileOpts, ValidatePaths
+// and validateShardSet: fetch raw frames per live source, decode and
+// process each user on the worker pool (par.MergeStreams), account it
+// in the deterministic merged order, and sum the slots in source order.
+// The aggregates are sums of per-user integer counts, so they are
+// identical to single-stream validation of the same users for any
+// worker count and any way of splitting the corpus.
+//
+// When ck is non-nil the run is checkpointed: sources whose fragment
+// was preloaded are not streamed (the checkpointed plan), and every
+// live source commits a fragment the moment it is fully consumed, so a
+// kill at any point loses at most the shards still in flight.
+//
+// When fold is non-nil the run folds a generational shard set: entries
+// of srcs left nil (the delta shards) are not streamed, and after the
+// merge the users that exist only in delta shards are folded, processed
+// on the same pool, and accounted against their home delta shard's
+// slot. fold and ck are mutually exclusive.
+func validateSources(name string, db *poi.DB, srcs []trace.FrameSource, labels []string, opts StreamOptions, ck *ckptRun, fold *trace.DeltaSet) (*StreamResult, error) {
+	e := newEngine(name, db, labels, opts)
+	if opts.OutcomeLog != "" {
+		var err error
+		if e.logw, err = outcome.Create(opts.OutcomeLog, name); err != nil {
+			return nil, fmt.Errorf("geosocial: %w", err)
+		}
+		defer e.logw.Discard() // no-op once Close has published the log
+		e.records, e.encode = true, ck != nil
+	}
+	defer ck.abort()
+	if ck != nil {
+		if err := ck.seed(e); err != nil {
+			return nil, err
+		}
+	}
+
+	// The merge streams only the live sources; live[j] maps its source
+	// index back to the shard index. Recycling: once account has folded
+	// a user into the slots nothing holds it (stats are counts, records
+	// copy what they keep), so it goes back to its source's pool for the
+	// next decode to fill in place — for sources that opt in via
+	// trace.UserRecycler (fold sources retain users and do not).
+	var live []int
+	var next []func() (trace.Frame, error)
+	var recyclers []trace.UserRecycler
+	for i, src := range srcs {
+		if ck.hit(i) {
+			continue
+		}
+		if src == nil { // a delta shard: its users come from the new-user pass
+			e.instrument(i, false, true, false)
+			continue
+		}
+		e.instrument(i, true, false, ck != nil)
+		nf, err := ck.source(i, src)
+		if err != nil {
+			return nil, err
+		}
+		rc, _ := src.(trace.UserRecycler)
+		live, next, recyclers = append(live, i), append(next, nf), append(recyclers, rc)
+	}
+	err := par.MergeStreams(opts.Workers, next,
+		func(j, _ int, fr trace.Frame) (userResult, error) {
+			sp := &e.spans[live[j]]
+			tm := sp.decode.Start()
+			u, err := srcs[live[j]].DecodeFrame(fr)
+			tm.Stop(1)
+			if err != nil {
+				return userResult{}, err
+			}
+			return e.process(u, sp)
+		},
+		func(j, _ int, r userResult) error {
+			if err := e.account(live[j], r); err != nil {
+				return err
+			}
+			if err := ck.record(live[j], r); err != nil {
+				return err
+			}
+			if recyclers[j] != nil {
+				recyclers[j].RecycleUser(r.out.User)
+			}
+			return ck.commitReady(e)
+		})
+	if err == nil {
+		err = ck.commitReady(e)
+	}
+	if err == nil && fold != nil {
+		// Users that exist only in delta shards were never seen by the
+		// base-shard streams: fold and process them now, in ascending ID
+		// order, attributed to the delta shard holding their first frame.
+		var newIDs []int
+		for _, id := range fold.IDs() {
+			if _, ok := e.seen[id]; !ok {
+				newIDs = append(newIDs, id)
+			}
+		}
+		var rs []userResult
+		if rs, err = e.foldUsers(fold, newIDs); err == nil {
+			for i, r := range rs {
+				if err = e.account(fold.Home(newIDs[i]), r); err != nil {
+					break
+				}
+			}
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
+	}
+	res, err := e.finish()
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	return res, nil
 }

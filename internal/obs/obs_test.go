@@ -146,6 +146,27 @@ func TestCollectorNilSafe(t *testing.T) {
 	}
 }
 
+// TestTimerNilCellFree pins the zero-cost-when-disabled contract of
+// Cell.Start/Timer.Stop: a nil cell's timer allocates nothing, and a
+// live cell's timer records exactly what it was told.
+func TestTimerNilCellFree(t *testing.T) {
+	var off *Cell
+	if allocs := testing.AllocsPerRun(1000, func() { off.Start().Stop(1) }); allocs != 0 {
+		t.Fatalf("nil-cell timer allocates %.1f per run", allocs)
+	}
+	if tm := off.Start(); tm != (Timer{}) {
+		t.Fatalf("nil-cell timer read the clock: %+v", tm)
+	}
+	c := NewCollector()
+	on := c.Stage("segment", "s")
+	if allocs := testing.AllocsPerRun(1000, func() { on.Start().Stop(2) }); allocs != 0 {
+		t.Fatalf("live-cell timer allocates %.1f per run", allocs)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Ops != 2*1001 {
+		t.Fatalf("timer observations: %+v", snap)
+	}
+}
+
 func TestCollectorConcurrent(t *testing.T) {
 	c := NewCollector()
 	var wg sync.WaitGroup

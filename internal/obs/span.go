@@ -68,6 +68,31 @@ func (c *Cell) Observe(n int, d time.Duration) {
 	c.nanos.Add(int64(d))
 }
 
+// Timer is one in-flight observation of a Cell, started by Cell.Start.
+// It is a value: timing a stage allocates nothing, and a Timer from a
+// nil cell never reads the clock.
+type Timer struct {
+	c  *Cell
+	t0 time.Time
+}
+
+// Start begins timing one observation. On a nil cell it returns a zero
+// Timer without reading the clock.
+func (c *Cell) Start() Timer {
+	if c == nil {
+		return Timer{}
+	}
+	return Timer{c: c, t0: time.Now()}
+}
+
+// Stop records n operations over the time since Start. No-op for a
+// Timer from a nil cell.
+func (t Timer) Stop(n int) {
+	if t.c != nil {
+		t.c.Observe(n, time.Since(t.t0))
+	}
+}
+
 // SpanStat is one (stage, shard) measurement in a snapshot.
 type SpanStat struct {
 	Stage   string        `json:"stage"`

@@ -16,10 +16,8 @@ import (
 	"geosocial/internal/classify"
 	"geosocial/internal/core"
 	"geosocial/internal/outcome"
-	"geosocial/internal/poi"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
-	"geosocial/internal/trace"
 )
 
 // genRecords validates and classifies a small synthetic dataset and
@@ -336,7 +334,11 @@ func TestLogSummarizeMatchesValidation(t *testing.T) {
 	checkins := 0
 	for i := range outs {
 		checkins += len(outs[i].User.Checkins)
-		if err := w.Add(outs[i], cls[i]); err != nil {
+		rec, err := outcome.NewRecord(outs[i], cls[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,155 +371,6 @@ func TestLogSummarizeMatchesValidation(t *testing.T) {
 	}
 	if sm.Truth == nil || *sm.Truth != truth {
 		t.Fatalf("summary truth %+v != %+v", sm.Truth, truth)
-	}
-}
-
-// TestSinkMatchesAdd pins the ValidateStream plumbing: the Sink
-// adapter (classify-then-add) produces the same log as explicit
-// classification.
-func TestSinkMatchesAdd(t *testing.T) {
-	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.02), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := ds.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := core.NewValidator()
-
-	dir := t.TempDir()
-	viaSink := filepath.Join(dir, "sink.gso")
-	w, err := outcome.Create(viaSink, ds.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := w.Sink(classify.Params{})
-	for _, u := range ds.Users {
-		o, err := v.ValidateUser(u, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	outs, _, err := v.ValidateDataset(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := classify.ClassifyAll(outs, classify.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]*outcome.Record, len(outs))
-	for i := range outs {
-		if recs[i], err = outcome.NewRecord(outs[i], cls[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	viaAdd := writeLog(t, recs, ds.Name, "add.gso")
-
-	a, err := os.ReadFile(viaSink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(viaAdd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("Sink-built log differs from explicit-classification log")
-	}
-}
-
-// TestShardSinkMatchesSink pins the ValidateShards plumbing: the same
-// dataset validated as a 3-shard corpus through ShardSink produces a
-// log byte-identical to the single-stream Sink path (canonical order
-// erases the merged shard interleaving).
-func TestShardSinkMatchesSink(t *testing.T) {
-	ds, err := synth.Generate(synth.PrimaryConfig().Scale(0.03), rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest, err := ds.SaveShards(t.TempDir(), trace.ShardOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := trace.OpenShardSet(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make([]trace.FrameSource, len(ss.Manifest.Shards))
-	for i := range srcs {
-		r, err := ss.OpenShard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		srcs[i] = r
-	}
-	db, err := poi.NewDB(srcs[0].(*trace.ShardReader).POIs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardLog := filepath.Join(t.TempDir(), "shards.gso")
-	w, err := outcome.Create(shardLog, ds.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := core.NewValidator()
-	v.Parallelism = 4
-	if _, err := v.ValidateShards(db, srcs, w.ShardSink(classify.Params{})); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: the same users through the serial single-stream sink.
-	// Shard users are E7-quantized by the binary codec, so the reference
-	// must read them back from the shards too — use the single-file save
-	// of the same dataset.
-	binPath := filepath.Join(t.TempDir(), "ds.bin.gz")
-	if err := ds.SaveFile(binPath); err != nil {
-		t.Fatal(err)
-	}
-	stream, err := trace.OpenStream(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	sdb, err := stream.DB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refLog := filepath.Join(t.TempDir(), "ref.gso")
-	rw, err := outcome.Create(refLog, ds.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.ValidateStream(sdb, stream, rw.Sink(classify.Params{})); err != nil {
-		t.Fatal(err)
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	a, err := os.ReadFile(shardLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(refLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("ShardSink log differs from single-stream Sink log")
 	}
 }
 

@@ -6,7 +6,7 @@
 // for dataset files — JSON, binary GSB1, or shard-set manifests — and
 // validates each one through an injected ValidateFunc, which the
 // geosocial facade wires to the same streaming engine geovalidate uses
-// (core.ValidateStream / core.ValidateShards on the par worker pool).
+// (the facade's one validation engine on the par worker pool).
 // Because the service and the CLI share one engine and validation is
 // deterministic for any worker count, serving a dataset yields results
 // byte-identical to running geovalidate on the same file.
@@ -500,10 +500,7 @@ func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 	lock := s.appendLock(path)
 	lock.Lock()
 	defer lock.Unlock()
-	var t0 time.Time
-	if s.spanAppend != nil {
-		t0 = time.Now()
-	}
+	tm := s.spanAppend.Start()
 	aw, err := trace.OpenAppend(path)
 	if err != nil {
 		return JobInfo{}, fmt.Errorf("serve: append: %w", err)
@@ -515,9 +512,7 @@ func (s *Server) Append(id string, r io.Reader) (JobInfo, error) {
 		return JobInfo{}, fmt.Errorf("serve: append: %w", err)
 	}
 	sum, err := DatasetChecksum(path)
-	if s.spanAppend != nil {
-		s.spanAppend.Observe(1, time.Since(t0))
-	}
+	tm.Stop(1)
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -647,37 +642,22 @@ func (s *Server) register(path, sum, appendFrom string) (JobInfo, error) {
 // traffic per operation. A nil cell costs nothing — not even a clock
 // read.
 func (s *Server) cacheGet(key string) ([]byte, bool) {
-	var t0 time.Time
-	if s.spanCacheGet != nil {
-		t0 = time.Now()
-	}
+	tm := s.spanCacheGet.Start()
 	data, hit := s.cache.Get(key)
-	if s.spanCacheGet != nil {
-		s.spanCacheGet.Observe(1, time.Since(t0))
-	}
+	tm.Stop(1)
 	return data, hit
 }
 
 func (s *Server) cachePut(key string, data []byte) {
-	var t0 time.Time
-	if s.spanCachePut != nil {
-		t0 = time.Now()
-	}
+	tm := s.spanCachePut.Start()
 	s.cache.Put(key, data)
-	if s.spanCachePut != nil {
-		s.spanCachePut.Observe(1, time.Since(t0))
-	}
+	tm.Stop(1)
 }
 
 func (s *Server) cachePeek(key string) ([]byte, bool) {
-	var t0 time.Time
-	if s.spanCachePeek != nil {
-		t0 = time.Now()
-	}
+	tm := s.spanCachePeek.Start()
 	data, hit := s.cache.Peek(key)
-	if s.spanCachePeek != nil {
-		s.spanCachePeek.Observe(1, time.Since(t0))
-	}
+	tm.Stop(1)
 	return data, hit
 }
 

@@ -14,7 +14,7 @@ package trace
 // Folding is deterministic: a user's effective trace is the
 // concatenation of its frames in shard-list order (base first, then
 // delta shards in generation order), with Days and Profile taken from
-// the last frame. FoldUser enforces the chronological seams, so a
+// the last frame. foldUser enforces the chronological seams, so a
 // folded set decodes to exactly the users a from-scratch corpus of the
 // concatenated data would contain.
 
@@ -31,13 +31,13 @@ import (
 	"geosocial/internal/poi"
 )
 
-// FoldUser merges a user's base frame with the delta frames appended
+// foldUser merges a user's base frame with the delta frames appended
 // for it, in generation order. Each delta's GPS fixes and checkins are
 // concatenated after the accumulated trace (the chronological seam is
 // enforced: a delta may not begin before the previous frame ended), and
 // Days/Profile come from the last delta. The inputs are not mutated;
 // with no deltas the base is returned as-is.
-func FoldUser(base *User, deltas []*User) (*User, error) {
+func foldUser(base *User, deltas []*User) (*User, error) {
 	if len(deltas) == 0 {
 		return base, nil
 	}
@@ -75,49 +75,75 @@ func FoldUser(base *User, deltas []*User) (*User, error) {
 
 // DeltaSet is a generational shard set's delta content, fully decoded
 // and indexed by user ID — the in-memory side of folding. It is
-// read-only after MergeSets builds it, so Fold and FoldSource are safe
+// read-only once MergeSets (or MergeSince, which also files the touched
+// users' earlier frames) builds it, so Fold and FoldSource are safe
 // from concurrent decode workers. Memory is O(appended data), never
 // O(corpus).
 type DeltaSet struct {
-	users map[int][]*User // delta frames per user, in shard-list order
-	home  map[int]int     // manifest shard index of each ID's first delta frame
+	users map[int][]*User // frames per user, in shard-list order
+	home  map[int]int     // manifest shard index of each ID's first frame
 }
 
 // MergeSets loads every delta shard of a generational shard set and
 // returns the fold index. For a generation-0 set it returns an empty
 // DeltaSet.
 func MergeSets(ss *ShardSet) (*DeltaSet, error) {
-	ds := &DeltaSet{users: make(map[int][]*User), home: make(map[int]int)}
+	first := len(ss.Manifest.Shards)
 	for i, info := range ss.Manifest.Shards {
-		if !info.Delta {
-			continue
-		}
-		r, err := ss.OpenShard(i)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			u, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			if _, ok := ds.home[u.ID]; !ok {
-				ds.home[u.ID] = i
-			}
-			ds.users[u.ID] = append(ds.users[u.ID], u)
-		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("trace: close delta shard %s: %w", info.File, err)
+		if info.Delta { // manifests list every base shard before any delta
+			first = i
+			break
 		}
 	}
-	return ds, nil
+	ds := newDeltaSet()
+	_, err := ss.scan(first, len(ss.Manifest.Shards), nil, ds.add)
+	return ds, err
 }
 
-// Len returns the number of distinct users with delta frames.
+// MergeSince returns the fold index of the users touched by shards
+// first.. of the set — every frame those users have anywhere in the
+// set, in shard-list order, with Home the first shard holding one — and
+// the POI table the shards share (nil when first is past the last
+// shard). Shards from first on are decoded in full; earlier shards are
+// read by ID peek, decoding only the touched users' frames, so the cost
+// is O(appended + touched) decode plus one pass over the earlier
+// shards' frame bytes.
+func (ss *ShardSet) MergeSince(first int) (*DeltaSet, []poi.POI, error) {
+	fresh := newDeltaSet()
+	n := len(ss.Manifest.Shards)
+	pois, err := ss.scan(first, n, nil, fresh.add)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds := newDeltaSet()
+	touched := func(id int) bool { _, ok := fresh.users[id]; return ok }
+	if _, err := ss.scan(0, first, touched, ds.add); err != nil {
+		return nil, nil, err
+	}
+	for id, frames := range fresh.users {
+		if _, ok := ds.home[id]; !ok {
+			ds.home[id] = fresh.home[id]
+		}
+		ds.users[id] = append(ds.users[id], frames...)
+	}
+	return ds, pois, nil
+}
+
+func newDeltaSet() *DeltaSet {
+	return &DeltaSet{users: make(map[int][]*User), home: make(map[int]int)}
+}
+
+// add files one decoded frame under its user, in arrival (shard-list)
+// order.
+func (ds *DeltaSet) add(shard int, u *User) error {
+	if _, ok := ds.home[u.ID]; !ok {
+		ds.home[u.ID] = shard
+	}
+	ds.users[u.ID] = append(ds.users[u.ID], u)
+	return nil
+}
+
+// Len returns the number of distinct users in the set.
 func (ds *DeltaSet) Len() int { return len(ds.users) }
 
 // IDs returns the delta user IDs in ascending order.
@@ -130,9 +156,9 @@ func (ds *DeltaSet) IDs() []int {
 	return ids
 }
 
-// Home returns the manifest shard index of the ID's first delta frame
-// (-1 when the ID has none) — the shard a brand-new user is attributed
-// to in per-shard statistics.
+// Home returns the manifest shard index of the ID's first frame in the
+// set (-1 when the ID has none) — the shard a user is attributed to in
+// per-shard statistics.
 func (ds *DeltaSet) Home(id int) int {
 	if i, ok := ds.home[id]; ok {
 		return i
@@ -143,17 +169,18 @@ func (ds *DeltaSet) Home(id int) int {
 // Fold returns the base user with its delta frames folded in, or the
 // base unchanged when it has none.
 func (ds *DeltaSet) Fold(base *User) (*User, error) {
-	return FoldUser(base, ds.users[base.ID])
+	return foldUser(base, ds.users[base.ID])
 }
 
-// FoldNew folds a user that exists only in delta shards: its first
-// delta frame acts as the base.
+// FoldNew folds a user from its frames in the set alone: the first
+// acts as the base (for MergeSets, a user that exists only in delta
+// shards).
 func (ds *DeltaSet) FoldNew(id int) (*User, error) {
 	frames := ds.users[id]
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("trace: fold user %d: no delta frames", id)
 	}
-	return FoldUser(frames[0], frames[1:])
+	return foldUser(frames[0], frames[1:])
 }
 
 // FoldSource wraps a base-shard FrameSource so every decoded user comes
@@ -290,49 +317,6 @@ func (aw *AppendWriter) AppendStream(r io.Reader) error {
 	}
 }
 
-// scanExisting walks every existing shard once, collecting the decoded
-// frames of the buffered users (cheap ID peek per frame; only matching
-// frames are decoded) in shard-list order.
-func (aw *AppendWriter) scanExisting() (map[int][]*User, error) {
-	parts := make(map[int][]*User, len(aw.byID))
-	for i := range aw.ss.Manifest.Shards {
-		r, err := aw.ss.OpenShard(i)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			f, err := r.NextFrame()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			id, err := f.UserID()
-			if err != nil {
-				r.Recycle(f)
-				r.Close()
-				return nil, err
-			}
-			if _, touched := aw.byID[id]; !touched {
-				r.Recycle(f)
-				continue
-			}
-			u, err := r.DecodeFrame(f)
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			parts[id] = append(parts[id], u)
-		}
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("trace: append: close shard: %w", err)
-		}
-	}
-	return parts, nil
-}
-
 // Close applies the append: every buffered user's fold chain is
 // verified against the existing shards (chronological seams), the delta
 // shard is written next to the others, and the manifest is atomically
@@ -347,18 +331,21 @@ func (aw *AppendWriter) Close() error {
 		return fmt.Errorf("trace: append: no users to append")
 	}
 
-	parts, err := aw.scanExisting()
-	if err != nil {
+	// One pass over the existing shards collects the buffered users'
+	// earlier frames (ID peek; only their frames are decoded).
+	existing := newDeltaSet()
+	touched := func(id int) bool { _, ok := aw.byID[id]; return ok }
+	if _, err := aw.ss.scan(0, len(aw.ss.Manifest.Shards), touched, existing.add); err != nil {
 		return err
 	}
 	newUsers := 0
 	for _, u := range aw.users {
-		chain := parts[u.ID]
+		chain := existing.users[u.ID]
 		if len(chain) == 0 {
 			newUsers++
 			continue
 		}
-		if _, err := FoldUser(chain[0], append(chain[1:], u)); err != nil {
+		if _, err := foldUser(chain[0], append(chain[1:], u)); err != nil {
 			return fmt.Errorf("trace: append: %w", err)
 		}
 	}

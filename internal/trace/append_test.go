@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -280,6 +281,37 @@ func TestAppendSecondGeneration(t *testing.T) {
 		}
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+
+	// MergeSince the last generation: exactly its users, each folded
+	// from every frame in the set and homed on its base shard.
+	last := len(ss.Manifest.Shards) - 1
+	since, pois, err := ss.MergeSince(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pois) != len(full.POIs) {
+		t.Fatalf("MergeSince POI table has %d venues, want %d", len(pois), len(full.POIs))
+	}
+	var wantIDs []int
+	for _, u := range gen2 {
+		wantIDs = append(wantIDs, u.ID)
+	}
+	sort.Ints(wantIDs)
+	if got := since.IDs(); !reflect.DeepEqual(got, wantIDs) {
+		t.Fatalf("MergeSince touched %v, want %v", got, wantIDs)
+	}
+	for _, id := range wantIDs {
+		got, err := since.FoldNew(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[id]) {
+			t.Fatalf("user %d differs after MergeSince fold", id)
+		}
+		if h := since.Home(id); h < 0 || ss.Manifest.Shards[h].Delta {
+			t.Fatalf("user %d homed on shard %d, want its base shard", id, h)
 		}
 	}
 }

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"geosocial/internal/geo"
@@ -609,6 +610,11 @@ func (sr *StreamReader) Next() (*User, error) {
 	if err != nil {
 		return nil, err // io.EOF passes through untouched
 	}
+	return sr.decodeUnique(f)
+}
+
+// decodeUnique is DecodeFrame plus the reader's duplicate-ID check.
+func (sr *StreamReader) decodeUnique(f Frame) (*User, error) {
 	u, err := sr.DecodeFrame(f)
 	if err != nil {
 		return nil, err
@@ -654,16 +660,39 @@ func (sr *StreamReader) NextFrame() (Frame, error) {
 	if bp == nil {
 		bp = new([]byte)
 	}
-	if uint64(cap(*bp)) < frameLen {
-		*bp = make([]byte, frameLen)
-	}
-	buf := (*bp)[:frameLen]
-	if _, err := io.ReadFull(sr.r, buf); err != nil {
+	buf, err := readGrowing(sr.r, (*bp)[:0], int(frameLen))
+	*bp = buf
+	if err != nil {
 		sr.bufs.Put(bp)
 		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
 	}
 	sr.users++
 	return Frame{data: buf, buf: bp}, nil
+}
+
+// readGrowing reads exactly n bytes into buf[:n]. A buffer that is
+// already big enough is filled in place; otherwise it grows only as
+// bytes actually arrive — one exact allocation up to 1 MiB, doubling
+// beyond — so an untrusted length prefix cannot reserve more memory
+// than the stream delivers.
+func readGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	const chunk = 1 << 20
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), chunk)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // nextFrameBytes is NextFrame for the in-memory (mmap) mode: frames are

@@ -7,11 +7,14 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -232,6 +235,51 @@ func TestBinaryTruncationRejected(t *testing.T) {
 	}
 	if _, err := trace.ReadBinary(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("full stream failed to decode: %v", err)
+	}
+}
+
+// TestForgedFrameLengthAllocatesByBytes feeds a truncated .bin.gz
+// whose first frame claims (almost) the 1 GiB limit but carries a few
+// bytes: decoding must fail with io.ErrUnexpectedEOF having allocated
+// in proportion to the bytes received, not to the length prefix.
+func TestForgedFrameLengthAllocatesByBytes(t *testing.T) {
+	var hdr bytes.Buffer
+	empty := &trace.Dataset{Name: "forged", POIs: []poi.POI{
+		{ID: 0, Name: "A", Category: poi.Food, Loc: geo.LatLon{Lat: 34.42, Lon: -119.7}},
+	}}
+	if err := empty.WriteBinary(&hdr); err != nil {
+		t.Fatal(err)
+	}
+	// An empty dataset ends in sentinel 0 and trailer count 0; drop them
+	// and append a frame whose prefix claims 1 GiB - 1.
+	raw := append(hdr.Bytes()[:hdr.Len()-2], 0xff, 0xff, 0xff, 0xff, 0x03, 'a', 'b', 'c')
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "forged.bin.gz")
+	if err := os.WriteFile(path, gz.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := trace.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Next()
+	s.Close()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("forged frame: err %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("forged 1 GiB prefix allocated %d bytes", grew)
 	}
 }
 

@@ -57,7 +57,7 @@ type ShardInfo struct {
 	// appended in one generation — new trailing GPS fixes / checkins for
 	// users that already exist in earlier shards, or complete new users.
 	// Delta shards are ordinary GSB1 streams; only their interpretation
-	// differs (frames are folded onto earlier frames, see FoldUser).
+	// differs (frames are folded onto earlier frames, see DeltaSet.Fold).
 	Delta bool `json:"delta,omitempty"`
 	// Generation is the append generation that produced this shard
 	// (>= 1 for delta shards, 0 for base shards).
@@ -477,7 +477,6 @@ func findManifest(dir string) (string, error) {
 type ShardReader struct {
 	sr      *StreamReader
 	closers []func() error
-	seen    map[int]struct{}
 	want    int
 }
 
@@ -553,10 +552,6 @@ func (r *ShardReader) NextFrame() (Frame, error) {
 // DecodeFrame decodes and validates one frame (see StreamReader.DecodeFrame).
 func (r *ShardReader) DecodeFrame(f Frame) (*User, error) { return r.sr.DecodeFrame(f) }
 
-// Recycle returns an undecoded frame's buffer to the shard reader's
-// pool (see StreamReader.Recycle).
-func (r *ShardReader) Recycle(f Frame) { r.sr.Recycle(f) }
-
 // RecycleUser returns a consumed user record to the shard reader's pool
 // (see StreamReader.RecycleUser and the UserRecycler contract).
 func (r *ShardReader) RecycleUser(u *User) { r.sr.RecycleUser(u) }
@@ -569,18 +564,65 @@ func (r *ShardReader) Next() (*User, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := r.sr.DecodeFrame(f)
-	if err != nil {
-		return nil, err
+	return r.sr.decodeUnique(f)
+}
+
+// scan is the one shard-scan loop behind MergeSets, MergeSince and the
+// append writer: it reads shards [from, to) once each, in shard-list
+// order, decodes every frame whose peeked user ID want accepts (every
+// frame when want is nil) and hands it to fn with its shard index;
+// other frames are recycled undecoded. Each shard is read to its
+// verified end (trailer and manifest user count), decoded IDs are
+// checked for duplicates within the shard, and close errors are
+// reported. It returns the POI table of the last shard opened (the
+// manifest checksum makes every shard's table identical).
+func (ss *ShardSet) scan(from, to int, want func(id int) bool, fn func(shard int, u *User) error) ([]poi.POI, error) {
+	var pois []poi.POI
+	for i := from; i < to; i++ {
+		r, err := ss.OpenShard(i)
+		if err != nil {
+			return nil, err
+		}
+		pois = r.POIs()
+		err = r.each(want, func(u *User) error { return fn(i, u) })
+		if cerr := r.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("trace: close shard %s: %w", ss.Manifest.Shards[i].File, cerr)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if r.seen == nil {
-		r.seen = make(map[int]struct{})
+	return pois, nil
+}
+
+// each runs scan's per-frame loop over one open shard.
+func (r *ShardReader) each(want func(id int) bool, fn func(*User) error) error {
+	for {
+		f, err := r.NextFrame()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if want != nil {
+			id, err := f.UserID()
+			if err != nil || !want(id) {
+				r.sr.Recycle(f)
+				if err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		u, err := r.sr.decodeUnique(f)
+		if err != nil {
+			return err
+		}
+		if err := fn(u); err != nil {
+			return err
+		}
 	}
-	if _, dup := r.seen[u.ID]; dup {
-		return nil, fmt.Errorf("trace: invalid shard: duplicate user ID %d", u.ID)
-	}
-	r.seen[u.ID] = struct{}{}
-	return u, nil
 }
 
 // Close releases the shard's file handles. Safe to call more than once.

@@ -4,8 +4,9 @@ package geosocial
 // acceptance contract: attaching a span collector must not change a
 // single output byte. The StreamResult JSON document and the GSO1
 // outcome log of an instrumented run are compared byte-for-byte against
-// an uninstrumented run, for a single binary file and a shard-set
-// manifest, at workers 1 and 8.
+// an uninstrumented run, for a single binary file, a shard-set
+// manifest and an incremental update of an appended set, at workers 1
+// and 8.
 
 import (
 	"bytes"
@@ -72,23 +73,72 @@ func TestInstrumentationPreservesBytes(t *testing.T) {
 
 				// Guard against a vacuous pass: the collector must have
 				// seen real pipeline work.
-				rep := spans.Report()
-				if len(rep.Stages) == 0 || rep.TotalOps == 0 {
-					t.Fatalf("collector recorded no spans: %+v", rep)
-				}
-				for _, want := range []string{"decode", "match", "classify"} {
-					found := false
-					for _, st := range rep.Stages {
-						if st.Stage == want {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Errorf("stage %q missing from span report (got %+v)", want, rep.Stages)
-					}
-				}
+				requireStages(t, spans, "decode", "match", "classify")
 			})
+		}
+	}
+
+	// The incremental update plan: one appended generation folded into
+	// a previous result, with and without a collector.
+	base, gens, _ := splitAppendCorpus(t, "day")
+	updDir := t.TempDir()
+	updManifest, err := base.SaveShards(updDir, trace.ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevLog := filepath.Join(updDir, "gen0.gso")
+	prev, err := ValidateFileOpts(updManifest, StreamOptions{Workers: 1, OutcomeLog: prevLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyAppend(t, updManifest, gens[0])
+	runUpdate := func(t *testing.T, workers int, spans *obs.Collector) (doc, gso []byte) {
+		t.Helper()
+		logPath := filepath.Join(t.TempDir(), "upd.gso")
+		res, err := UpdateValidation(updManifest, prev, prevLog, StreamOptions{
+			Workers:    workers,
+			OutcomeLog: logPath,
+			Spans:      spans,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultJSON(t, res), readFile(t, logPath)
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("update/workers=%d", workers), func(t *testing.T) {
+			plainDoc, plainGSO := runUpdate(t, workers, nil)
+			spans := obs.NewCollector()
+			instrDoc, instrGSO := runUpdate(t, workers, spans)
+			if !bytes.Equal(plainDoc, instrDoc) {
+				t.Error("updated StreamResult JSON differs between instrumented and uninstrumented runs")
+			}
+			if !bytes.Equal(plainGSO, instrGSO) {
+				t.Error("compacted outcome log bytes differ between instrumented and uninstrumented runs")
+			}
+			requireStages(t, spans, "fold", "segment", "match", "classify")
+		})
+	}
+}
+
+// requireStages fails unless the collector recorded work and its report
+// names every wanted stage.
+func requireStages(t *testing.T, spans *obs.Collector, stages ...string) {
+	t.Helper()
+	rep := spans.Report()
+	if len(rep.Stages) == 0 || rep.TotalOps == 0 {
+		t.Fatalf("collector recorded no spans: %+v", rep)
+	}
+	for _, want := range stages {
+		found := false
+		for _, st := range rep.Stages {
+			if st.Stage == want {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("stage %q missing from span report (got %+v)", want, rep.Stages)
 		}
 	}
 }

@@ -311,37 +311,54 @@ func (g *tinyUserSource) Next() (*trace.User, error) {
 }
 
 // TestOutcomeSinkBoundedMemory validates and analyzes a 3000-user
-// stream through the sink without ever materializing a
-// []core.UserOutcome: users are generated on demand, consumed by
-// ValidateStream's bounded window, distilled into log records, and the
-// analyses run over the log afterwards.
+// stream through the outcome log without ever materializing a
+// []core.UserOutcome: users are generated on demand straight into a
+// binary stream, consumed by the engine's bounded window, distilled
+// into log records, and the analyses run over the log afterwards.
 func TestOutcomeSinkBoundedMemory(t *testing.T) {
 	base := geo.LatLon{Lat: 34.4208, Lon: -119.6982}
 	pois := []poi.POI{
 		{ID: 0, Name: "Cafe", Category: poi.Food, Loc: base, Popularity: 1},
 		{ID: 1, Name: "Far", Category: poi.Shop, Loc: geo.Destination(base, 90, 5000), Popularity: 1},
 	}
-	db, err := poi.NewDB(pois)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const users = 3000
 	src := &tinyUserSource{n: users, pois: pois}
 
-	logPath := filepath.Join(t.TempDir(), "big.gso")
-	w, err := outcome.Create(logPath, "big")
+	dir := t.TempDir()
+	binPath := filepath.Join(dir, "big.bin")
+	f, err := os.Create(binPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := core.NewValidator()
-	v.Parallelism = 8
-	part, err := v.ValidateStream(db, src, w.Sink(classify.Params{}))
+	sw, err := trace.NewStreamWriter(f, "big", pois)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	for {
+		u, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.WriteUser(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	logPath := filepath.Join(dir, "big.gso")
+	res, err := geosocial.ValidateFileOpts(binPath, geosocial.StreamOptions{Workers: 8, OutcomeLog: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := res.Partition
 
 	sm, err := outcome.Summarize(logPath)
 	if err != nil {
