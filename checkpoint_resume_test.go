@@ -361,3 +361,75 @@ func TestResumeIgnoresMismatchedParams(t *testing.T) {
 		t.Errorf("mismatched-params result differs from its own clean run")
 	}
 }
+
+// TestCheckpointCommitsEveryShard pins when fragments commit: a
+// checkpointed run over a shard set with more shards than users (so
+// some shards are empty) writes exactly one fragment per shard at every
+// worker count, matches a run without checkpoints byte for byte, and a
+// rerun skips every shard.
+func TestCheckpointCommitsEveryShard(t *testing.T) {
+	study, err := GenerateStudy(StudyConfig{Scale: 0.02, Seed: 11})
+	if err != nil {
+		t.Fatalf("GenerateStudy: %v", err)
+	}
+	shards := len(study.Primary.Users) + 2
+	manifest, err := study.Primary.SaveShards(t.TempDir(), trace.ShardOptions{Shards: shards})
+	if err != nil {
+		t.Fatalf("SaveShards: %v", err)
+	}
+	ss, err := trace.OpenShardSet(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for _, info := range ss.Manifest.Shards {
+		if info.Users == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatalf("no empty shard among %d", shards)
+	}
+
+	outDir := t.TempDir()
+	baseLog := filepath.Join(outDir, "base.gso")
+	baseRes, err := ValidateFileOpts(manifest, StreamOptions{Workers: 2, OutcomeLog: baseLog})
+	if err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	baseJSON, err := baseRes.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseBytes, err := os.ReadFile(baseLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 2, 8} {
+		ckDir := t.TempDir()
+		for run, marker := range []string{"checkpoint written", "checkpoint hit"} {
+			logPath := filepath.Join(t.TempDir(), "ck.gso")
+			logf, n := countingLogf(marker)
+			res, err := ValidateFileOpts(manifest, StreamOptions{
+				Workers: workers, OutcomeLog: logPath, CheckpointDir: ckDir, Logf: logf,
+			})
+			if err != nil {
+				t.Fatalf("workers=%d run %d: %v", workers, run, err)
+			}
+			if *n != shards {
+				t.Errorf("workers=%d run %d: %d %q lines, want %d", workers, run, *n, marker, shards)
+			}
+			if got, _ := res.Encode(); !bytes.Equal(got, baseJSON) {
+				t.Errorf("workers=%d run %d: result differs from the run without checkpoints", workers, run)
+			}
+			logBytes, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(logBytes, baseBytes) {
+				t.Errorf("workers=%d run %d: outcome log differs (%d vs %d bytes)", workers, run, len(logBytes), len(baseBytes))
+			}
+		}
+	}
+}
