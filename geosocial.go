@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"geosocial/internal/checkpoint"
@@ -387,11 +386,9 @@ func checkNewUsers(ss *trace.ShardSet, stats []ShardStat) error {
 type ckptRun struct {
 	store *checkpoint.Store
 	sums  []string           // per-shard content checksum (key half)
-	want  []int              // per-shard manifest user count
 	metas []*checkpoint.Meta // non-nil marks a checkpointed (skipped) shard
 	ids   [][]int            // a skipped shard's stored user IDs; a live shard's so far
 	frags []*checkpoint.Frag // a live shard's fragment until it commits
-	srcs  []*ckptSource      // a live shard's end-of-stream latch
 	logf  func(format string, args ...any)
 }
 
@@ -420,18 +417,15 @@ func openCheckpoints(ss *trace.ShardSet, labels []string, opts StreamOptions) (*
 	ck := &ckptRun{
 		store: store,
 		sums:  make([]string, k),
-		want:  make([]int, k),
 		metas: make([]*checkpoint.Meta, k),
 		ids:   make([][]int, k),
 		frags: make([]*checkpoint.Frag, k),
-		srcs:  make([]*ckptSource, k),
 		logf:  opts.Logf,
 	}
 	if ck.logf == nil {
 		ck.logf = func(string, ...any) {}
 	}
 	for i, info := range ss.Manifest.Shards {
-		ck.want[i] = info.Users
 		sum, err := checkpoint.FileChecksum(filepath.Join(ss.Dir, info.File))
 		if err != nil {
 			return nil, fmt.Errorf("geosocial: %w", err)
@@ -487,20 +481,17 @@ func (c *ckptRun) seed(e *engine) error {
 	return nil
 }
 
-// source begins live shard i's fragment and returns the frame fetch to
-// stream it with: src's own when not checkpointing, otherwise one that
-// latches the shard's clean end of stream.
-func (c *ckptRun) source(i int, src trace.FrameSource) (func() (trace.Frame, error), error) {
+// source begins live shard i's fragment.
+func (c *ckptRun) source(i int) error {
 	if c == nil {
-		return src.NextFrame, nil
+		return nil
 	}
 	fr, err := c.store.Begin(c.sums[i])
 	if err != nil {
-		return nil, fmt.Errorf("geosocial: %w", err)
+		return fmt.Errorf("geosocial: %w", err)
 	}
 	c.frags[i] = fr
-	c.srcs[i] = &ckptSource{FrameSource: src}
-	return c.srcs[i].NextFrame, nil
+	return nil
 }
 
 // record adds one accounted user of live shard i to its fragment.
@@ -515,33 +506,27 @@ func (c *ckptRun) record(i int, r userResult) error {
 	return nil
 }
 
-// commitReady publishes the fragment of every live shard that has been
-// fully consumed (clean EOF latched and all its users accounted). It
-// runs after each accounted user and once after the merge: in the
-// serial merge a shard's EOF is observed a round after its last user,
-// so the final sweep catches what the per-user polls cannot.
-func (c *ckptRun) commitReady(e *engine) error {
+// commit publishes live shard i's fragment. It runs when the merge
+// reports the shard's clean end: every user of the shard has been
+// accounted, and a ShardReader reports that end only after verifying
+// the trailer and the manifest user count.
+func (c *ckptRun) commit(e *engine, i int) error {
 	if c == nil {
 		return nil
 	}
-	for i, fr := range c.frags {
-		if fr == nil || !c.srcs[i].eof.Load() || e.stats[i].Users != c.want[i] {
-			continue
-		}
-		tm := e.spans[i].commit.Start()
-		err := fr.Commit(&checkpoint.Meta{
-			Users:     e.stats[i].Users,
-			Partition: e.stats[i].Partition,
-			Taxonomy:  e.taxs[i],
-			Truth:     e.truths[i].Counts(),
-		}, c.ids[i])
-		tm.Stop(e.stats[i].Users)
-		if err != nil {
-			return err
-		}
-		c.frags[i] = nil
-		c.logf("geosocial: shard %s: checkpoint written (%d users)", e.labels[i], e.stats[i].Users)
+	tm := e.spans[i].commit.Start()
+	err := c.frags[i].Commit(&checkpoint.Meta{
+		Users:     e.stats[i].Users,
+		Partition: e.stats[i].Partition,
+		Taxonomy:  e.taxs[i],
+		Truth:     e.truths[i].Counts(),
+	}, c.ids[i])
+	tm.Stop(e.stats[i].Users)
+	if err != nil {
+		return err
 	}
+	c.frags[i] = nil
+	c.logf("geosocial: shard %s: checkpoint written (%d users)", e.labels[i], e.stats[i].Users)
 	return nil
 }
 
@@ -555,29 +540,6 @@ func (c *ckptRun) abort() {
 			fr.Abort()
 		}
 	}
-}
-
-// ckptSource wraps a shard's FrameSource to record when the shard has
-// been fully and cleanly consumed. The flag is atomic because frames
-// are pulled on a producer goroutine while the commit decision runs on
-// the collecting goroutine; it is also deliberately non-blocking — in
-// the serial (workers == 1) merge, a shard's EOF is only observed one
-// round after its last user is accounted, so commits poll the flag
-// instead of waiting on it.
-type ckptSource struct {
-	trace.FrameSource
-	eof atomic.Bool
-}
-
-// NextFrame forwards to the wrapped source, latching clean end of
-// stream (which, for a ShardReader, implies the manifest user count
-// was verified).
-func (c *ckptSource) NextFrame() (trace.Frame, error) {
-	fr, err := c.FrameSource.NextFrame()
-	if err == io.EOF {
-		c.eof.Store(true)
-	}
-	return fr, err
 }
 
 // shardSpans bundles one shard's span cells, one per pipeline stage. A
@@ -781,8 +743,8 @@ func (e *engine) finish() (*StreamResult, error) {
 //
 // When ck is non-nil the run is checkpointed: sources whose fragment
 // was preloaded are not streamed (the checkpointed plan), and every
-// live source commits a fragment the moment it is fully consumed, so a
-// kill at any point loses at most the shards still in flight.
+// live source commits its fragment when the merge reports the source's
+// end, so a kill at any point loses at most the shards still in flight.
 //
 // When fold is non-nil the run folds a generational shard set: entries
 // of srcs left nil (the delta shards) are not streamed, and after the
@@ -824,12 +786,11 @@ func validateSources(name string, db *poi.DB, srcs []trace.FrameSource, labels [
 			continue
 		}
 		e.instrument(i, true, false, ck != nil)
-		nf, err := ck.source(i, src)
-		if err != nil {
+		if err := ck.source(i); err != nil {
 			return nil, err
 		}
 		rc, _ := src.(trace.UserRecycler)
-		live, next, recyclers = append(live, i), append(next, nf), append(recyclers, rc)
+		live, next, recyclers = append(live, i), append(next, src.NextFrame), append(recyclers, rc)
 	}
 	err := par.MergeStreams(opts.Workers, next,
 		func(j, _ int, fr trace.Frame) (userResult, error) {
@@ -852,11 +813,9 @@ func validateSources(name string, db *poi.DB, srcs []trace.FrameSource, labels [
 			if recyclers[j] != nil {
 				recyclers[j].RecycleUser(r.out.User)
 			}
-			return ck.commitReady(e)
-		})
-	if err == nil {
-		err = ck.commitReady(e)
-	}
+			return nil
+		},
+		func(j int) error { return ck.commit(e, live[j]) })
 	if err == nil && fold != nil {
 		// Users that exist only in delta shards were never seen by the
 		// base-shard streams: fold and process them now, in ascending ID

@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// mergeSlot carries one in-flight item of a MergeStreams run. As with
-// streamSlot, the consumer waits on done before touching out/err.
+// mergeSlot carries one in-flight item of a MergeStreams run. The
+// consumer waits on done before touching out/err, so no lock is needed:
+// the close happens-before the receive.
 type mergeSlot[T, R any] struct {
 	shard, idx int
 	in         T
@@ -16,22 +17,29 @@ type mergeSlot[T, R any] struct {
 	done       chan struct{}
 }
 
-// MergeStreams is MapStream over K ordered sources sharing one worker
-// budget: items are pulled from each source by its own producer (so K
-// files can be read concurrently), mapped by f on a single shared pool
+// MergeStreams maps K ordered sources of unknown length on one shared
+// worker budget: items are pulled from each source by its own producer
+// (so K files can be read concurrently), mapped by f on a single pool
 // of workers, and delivered to sink in a deterministic merged order —
 // round-robin across the sources in index order, skipping sources that
 // have ended. For sources A and B the sink sees A0 B0 A1 B1 …, and once
-// A ends, B's remaining items back to back. The merged order depends
-// only on the sources' contents, never on worker count or scheduling.
+// A ends, B's remaining items back to back; a single source is simply
+// its own stream order. The merged order depends only on the sources'
+// contents, never on worker count or scheduling.
 //
-// The contracts match MapStream, generalized to the merged order:
+// A source ends when its next returns io.EOF. end(s) then runs once, on
+// the calling goroutine, at the merged position where the round-robin
+// drops s: after sink has seen every item of s, at the same position
+// for any worker count. It never runs for a source whose next failed,
+// nor after the run has stopped.
 //
-//   - sink sees every (shard, index, result) exactly once, in merged
-//     order, on the calling goroutine, for any worker count;
-//   - when several items fail, the error returned is the one at the
-//     earliest merged position — exactly what the serial round-robin
-//     loop would have hit first;
+// The contracts, all in merged order:
+//
+//   - sink sees every (shard, index, result) exactly once, on the
+//     calling goroutine, for any worker count;
+//   - when several items, sources, sinks or ends fail, the error
+//     returned is the one at the earliest merged position — exactly what
+//     the serial round-robin loop would have hit first;
 //   - at most O(workers + len(next)) items are in flight at once, so
 //     memory stays bounded no matter how long the streams are;
 //   - workers == 1 runs the exact serial round-robin loop on the
@@ -39,15 +47,10 @@ type mergeSlot[T, R any] struct {
 //
 // Each next[s] is called from a single goroutine; f must be safe for
 // concurrent calls on distinct items.
-func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard, idx int, v T) (R, error), sink func(shard, idx int, r R) error) error {
+func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard, idx int, v T) (R, error), sink func(shard, idx int, r R) error, end func(shard int) error) error {
 	k := len(next)
 	if k == 0 {
 		return nil
-	}
-	if k == 1 {
-		return MapStream(workers, next[0],
-			func(i int, v T) (R, error) { return f(0, i, v) },
-			func(i int, r R) error { return sink(0, i, r) })
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -67,6 +70,9 @@ func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard,
 				if err == io.EOF {
 					alive[s] = false
 					live--
+					if err := end(s); err != nil {
+						return err
+					}
 					continue
 				}
 				if err != nil {
@@ -153,8 +159,12 @@ func MergeStreams[T, R any](workers int, next []func() (T, error), f func(shard,
 		live := rotation[:0]
 		for _, s := range rotation {
 			sl, ok := <-orders[s]
-			if !ok {
-				continue // shard ended: drop it from the rotation
+			if !ok { // shard ended: drop it from the rotation
+				if err := end(s); err != nil {
+					firstErr = err
+					break
+				}
+				continue
 			}
 			<-sl.done
 			if sl.err != nil {

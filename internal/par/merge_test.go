@@ -9,18 +9,52 @@ import (
 	"time"
 )
 
-// mergeRef computes the reference merged delivery order for the given
+// sliceNext returns a next func streaming the given values then io.EOF.
+func sliceNext(vals []int) func() (int, error) {
+	i := 0
+	return func() (int, error) {
+		if i >= len(vals) {
+			return 0, io.EOF
+		}
+		v := vals[i]
+		i++
+		return v, nil
+	}
+}
+
+// noEnd is an end hook that ignores source ends.
+func noEnd(int) error { return nil }
+
+// endMark is the index recorded for a source's end event.
+const endMark = -1
+
+// recordEnds returns an end hook appending {shard, endMark} to *events,
+// so ends interleave with deliveries in the sequence the caller sees.
+func recordEnds(events *[][2]int) func(int) error {
+	return func(s int) error {
+		*events = append(*events, [2]int{s, endMark})
+		return nil
+	}
+}
+
+// mergeRef computes the reference merged event sequence for the given
 // shard lengths: one item per live shard per round, shards in index
-// order.
+// order, and each shard's end in the round it is dropped (round n for
+// a shard of n items).
 func mergeRef(lens []int) [][2]int {
 	var out [][2]int
 	for round := 0; ; round++ {
 		progressed := false
 		for s, n := range lens {
-			if round < n {
+			switch {
+			case round < n:
 				out = append(out, [2]int{s, round})
-				progressed = true
+			case round == n:
+				out = append(out, [2]int{s, endMark})
+			default:
+				continue
 			}
+			progressed = true
 		}
 		if !progressed {
 			return out
@@ -29,41 +63,44 @@ func mergeRef(lens []int) [][2]int {
 }
 
 // TestMergeStreamsOrderAndResults pins the merged-order contract across
-// worker counts and uneven shard lengths: sink sees every (shard, idx,
-// result) exactly once, in the deterministic round-robin merged order.
+// worker counts, uneven shard lengths and a single long source: sink
+// sees every (shard, idx, result) exactly once and end sees every
+// source once, interleaved in the deterministic round-robin order.
 func TestMergeStreamsOrderAndResults(t *testing.T) {
-	lens := []int{17, 0, 5, 40, 1}
-	want := mergeRef(lens)
 	for _, workers := range []int{1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			next := make([]func() (int, error), len(lens))
-			for s, n := range lens {
-				next[s] = sliceNext(seq(s, n))
-			}
-			var got [][2]int
-			err := MergeStreams(workers, next,
-				func(shard, idx int, v int) (int, error) {
-					if v%5 == 0 { // stagger completions
-						time.Sleep(time.Millisecond)
+			for _, lens := range [][]int{{17, 0, 5, 40, 1}, {200}} {
+				want := mergeRef(lens)
+				next := make([]func() (int, error), len(lens))
+				for s, n := range lens {
+					next[s] = sliceNext(seq(s, n))
+				}
+				var got [][2]int
+				err := MergeStreams(workers, next,
+					func(shard, idx int, v int) (int, error) {
+						if v%5 == 0 { // stagger completions
+							time.Sleep(time.Millisecond)
+						}
+						return v * 2, nil
+					},
+					func(shard, idx int, r int) error {
+						if wantV := (shard*1000 + idx) * 2; r != wantV {
+							t.Errorf("shard %d idx %d: result %d, want %d", shard, idx, r, wantV)
+						}
+						got = append(got, [2]int{shard, idx})
+						return nil
+					},
+					recordEnds(&got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("lens %v: saw %d events, want %d", lens, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("lens %v: event %d = %v, want %v (merged order broken)", lens, i, got[i], want[i])
 					}
-					return v * 2, nil
-				},
-				func(shard, idx int, r int) error {
-					if wantV := (shard*1000 + idx) * 2; r != wantV {
-						t.Errorf("shard %d idx %d: result %d, want %d", shard, idx, r, wantV)
-					}
-					got = append(got, [2]int{shard, idx})
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("sink saw %d items, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("delivery %d = %v, want %v (merged order broken)", i, got[i], want[i])
 				}
 			}
 		})
@@ -79,27 +116,40 @@ func seq(s, n int) []int {
 	return vals
 }
 
-// TestMergeStreamsEdges covers zero sources, all-empty sources, and the
-// single-source delegation to MapStream.
+// TestMergeStreamsEdges covers zero sources, an empty single source,
+// all-empty sources (each still ends, in index order) and a short
+// single source.
 func TestMergeStreamsEdges(t *testing.T) {
 	if err := MergeStreams(8, nil,
 		func(s, i, v int) (int, error) { return v, nil },
-		func(s, i, r int) error { return nil }); err != nil {
+		func(s, i, r int) error { return nil },
+		func(s int) error { t.Error("end called with no sources"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		err := MergeStreams(workers,
-			[]func() (int, error){sliceNext(nil), sliceNext(nil)},
-			func(s, i, v int) (int, error) { t.Error("f called on empty streams"); return 0, nil },
-			func(s, i, r int) error { t.Error("sink called on empty streams"); return nil })
-		if err != nil {
-			t.Fatal(err)
+		for _, k := range []int{1, 2} {
+			next := make([]func() (int, error), k)
+			for s := range next {
+				next[s] = sliceNext(nil)
+			}
+			var ends [][2]int
+			err := MergeStreams(workers, next,
+				func(s, i, v int) (int, error) { t.Error("f called on empty streams"); return 0, nil },
+				func(s, i, r int) error { t.Error("sink called on empty streams"); return nil },
+				recordEnds(&ends))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := mergeRef(make([]int, k)); fmt.Sprint(ends) != fmt.Sprint(want) {
+				t.Errorf("workers=%d: %d empty sources ended as %v, want %v", workers, k, ends, want)
+			}
 		}
 		var got []int
-		err = MergeStreams(workers,
+		err := MergeStreams(workers,
 			[]func() (int, error){sliceNext([]int{7, 8, 9})},
 			func(s, i, v int) (int, error) { return v, nil },
-			func(s, i, r int) error { got = append(got, r); return nil })
+			func(s, i, r int) error { got = append(got, r); return nil },
+			noEnd)
 		if err != nil || len(got) != 3 || got[0] != 7 || got[2] != 9 {
 			t.Fatalf("single source: got %v, err %v", got, err)
 		}
@@ -126,15 +176,79 @@ func TestMergeStreamsEarliestError(t *testing.T) {
 				}
 				return v, nil
 			},
-			func(shard, idx int, r int) error { return nil })
+			func(shard, idx int, r int) error { return nil },
+			noEnd)
 		if err == nil || err.Error() != "shard 1 item 2 failed" {
 			t.Errorf("workers=%d: err = %v, want shard 1 item 2", workers, err)
+		}
+	}
+	// One source: items 30 and up fail fast while lower ones dawdle;
+	// the lowest failing index still wins.
+	for _, workers := range []int{1, 4, 16} {
+		err := MergeStreams(workers, []func() (int, error){sliceNext(make([]int, 100))},
+			func(shard, idx int, v int) (int, error) {
+				if idx >= 30 {
+					return 0, fmt.Errorf("item %d failed", idx)
+				}
+				time.Sleep(time.Millisecond)
+				return 0, nil
+			},
+			func(shard, idx int, r int) error { return nil },
+			noEnd)
+		if err == nil || err.Error() != "item 30 failed" {
+			t.Errorf("workers=%d: err = %v, want item 30", workers, err)
+		}
+	}
+}
+
+// TestMergeStreamsEndError reports an end error at its merged position:
+// shard 0 (3 items) ends in round 3 ahead of shard 1's round-3 item, but
+// after shard 1's round-2 item.
+func TestMergeStreamsEndError(t *testing.T) {
+	endErr := errors.New("shard 0 end failed")
+	for _, workers := range []int{1, 4, 16} {
+		for _, failAt := range []int{2, 3} {
+			var events [][2]int
+			record := recordEnds(&events)
+			err := MergeStreams(workers,
+				[]func() (int, error){sliceNext(seq(0, 3)), sliceNext(seq(1, 10))},
+				func(shard, idx int, v int) (int, error) {
+					if shard == 1 && idx == failAt {
+						return 0, fmt.Errorf("shard 1 item %d failed", idx)
+					}
+					return v, nil
+				},
+				func(shard, idx int, r int) error {
+					events = append(events, [2]int{shard, idx})
+					return nil
+				},
+				func(s int) error {
+					record(s)
+					return endErr
+				})
+			want := "shard 1 item 2 failed"
+			if failAt == 3 {
+				want = endErr.Error()
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("workers=%d failAt=%d: err = %v, want %q", workers, failAt, err, want)
+			}
+			// Rounds 0 and 1 deliver both shards; round 2 delivers shard 0
+			// and then either fails on shard 1 or delivers it and ends 0.
+			wantEvents := mergeRef([]int{3, 10})[:5]
+			if failAt == 3 {
+				wantEvents = mergeRef([]int{3, 10})[:7]
+			}
+			if fmt.Sprint(events) != fmt.Sprint(wantEvents) {
+				t.Errorf("workers=%d failAt=%d: events %v, want %v", workers, failAt, events, wantEvents)
+			}
 		}
 	}
 }
 
 // TestMergeStreamsSourceError propagates a failing next at its merged
-// position.
+// position; end never runs for the failing source, nor for a source
+// that would have ended after the stop.
 func TestMergeStreamsSourceError(t *testing.T) {
 	srcErr := errors.New("shard 1 unreadable")
 	for _, workers := range []int{1, 8} {
@@ -148,7 +262,8 @@ func TestMergeStreamsSourceError(t *testing.T) {
 			func(shard, idx int, r int) error {
 				delivered = append(delivered, [2]int{shard, idx})
 				return nil
-			})
+			},
+			recordEnds(&delivered))
 		if !errors.Is(err, srcErr) {
 			t.Errorf("workers=%d: err = %v, want source error", workers, err)
 		}
@@ -156,29 +271,64 @@ func TestMergeStreamsSourceError(t *testing.T) {
 		if len(delivered) != 1 || delivered[0] != [2]int{0, 0} {
 			t.Errorf("workers=%d: delivered %v before the error, want [[0 0]]", workers, delivered)
 		}
+
+		// One source that breaks after five items.
+		calls := 0
+		var events [][2]int
+		err = MergeStreams(workers,
+			[]func() (int, error){func() (int, error) {
+				calls++
+				if calls > 5 {
+					return 0, srcErr
+				}
+				return calls, nil
+			}},
+			func(shard, idx int, v int) (int, error) { return v, nil },
+			func(shard, idx int, r int) error { return nil },
+			recordEnds(&events))
+		if !errors.Is(err, srcErr) {
+			t.Errorf("workers=%d: single source: err = %v, want source error", workers, err)
+		}
+		if len(events) != 0 {
+			t.Errorf("workers=%d: single source: end ran for a failed source: %v", workers, events)
+		}
 	}
 }
 
-// TestMergeStreamsSinkError stops the run when sink fails.
+// TestMergeStreamsSinkError stops the run when sink fails: sink is not
+// called again, and end does not run for a source whose end comes after
+// the stop.
 func TestMergeStreamsSinkError(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	for _, workers := range []int{1, 8} {
-		seen := 0
-		err := MergeStreams(workers,
-			[]func() (int, error){sliceNext(seq(0, 100)), sliceNext(seq(1, 100))},
-			func(shard, idx int, v int) (int, error) { return v, nil },
-			func(shard, idx int, r int) error {
-				seen++
-				if seen == 7 {
-					return sinkErr
-				}
-				return nil
-			})
-		if !errors.Is(err, sinkErr) {
-			t.Errorf("workers=%d: err = %v, want sink error", workers, err)
-		}
-		if seen != 7 {
-			t.Errorf("workers=%d: sink called %d times after error, want 7", workers, seen)
+		for _, lens := range [][]int{{100, 100}, {3, 100}, {500}} {
+			next := make([]func() (int, error), len(lens))
+			for s, n := range lens {
+				next[s] = sliceNext(seq(s, n))
+			}
+			seen := 0
+			var ends [][2]int
+			err := MergeStreams(workers, next,
+				func(shard, idx int, v int) (int, error) { return v, nil },
+				func(shard, idx int, r int) error {
+					seen++
+					if seen == 6 {
+						return sinkErr
+					}
+					return nil
+				},
+				recordEnds(&ends))
+			if !errors.Is(err, sinkErr) {
+				t.Errorf("workers=%d lens=%v: err = %v, want sink error", workers, lens, err)
+			}
+			if seen != 6 {
+				t.Errorf("workers=%d lens=%v: sink called %d times after error, want 6", workers, lens, seen)
+			}
+			// With lens {3, 100}, shard 0's end falls right after the
+			// sixth delivery, so it must not run.
+			if len(ends) != 0 {
+				t.Errorf("workers=%d lens=%v: end ran after the stop: %v", workers, lens, ends)
+			}
 		}
 	}
 }
@@ -187,39 +337,42 @@ func TestMergeStreamsSinkError(t *testing.T) {
 // all sources: items pulled but not yet delivered stay O(workers +
 // shards) even with a slow consumer.
 func TestMergeStreamsBoundedInFlight(t *testing.T) {
-	const workers, shards, perShard = 4, 3, 100
-	var pulled, delivered atomic.Int64
-	var maxInFlight atomic.Int64
-	next := make([]func() (int, error), shards)
-	for s := 0; s < shards; s++ {
-		i := 0
-		next[s] = func() (int, error) {
-			if i >= perShard {
-				return 0, io.EOF
+	const workers, perShard = 4, 100
+	for _, shards := range []int{1, 3} {
+		var pulled, delivered atomic.Int64
+		var maxInFlight atomic.Int64
+		next := make([]func() (int, error), shards)
+		for s := 0; s < shards; s++ {
+			i := 0
+			next[s] = func() (int, error) {
+				if i >= perShard {
+					return 0, io.EOF
+				}
+				i++
+				p := pulled.Add(1)
+				if inFlight := p - delivered.Load(); inFlight > maxInFlight.Load() {
+					maxInFlight.Store(inFlight)
+				}
+				return i, nil
 			}
-			i++
-			p := pulled.Add(1)
-			if inFlight := p - delivered.Load(); inFlight > maxInFlight.Load() {
-				maxInFlight.Store(inFlight)
-			}
-			return i, nil
 		}
-	}
-	err := MergeStreams(workers, next,
-		func(shard, idx int, v int) (int, error) { return v, nil },
-		func(shard, idx int, r int) error {
-			time.Sleep(200 * time.Microsecond) // slow consumer
-			delivered.Add(1)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window ~2*workers+shards buffered, plus workers in flight and
-	// hand-over slack.
-	limit := int64(2*workers + shards + workers + 2*shards + 2)
-	if got := maxInFlight.Load(); got > limit {
-		t.Errorf("max in-flight items %d exceeds bound %d", got, limit)
+		err := MergeStreams(workers, next,
+			func(shard, idx int, v int) (int, error) { return v, nil },
+			func(shard, idx int, r int) error {
+				time.Sleep(200 * time.Microsecond) // slow consumer
+				delivered.Add(1)
+				return nil
+			},
+			noEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Window ~2*workers+shards buffered, plus workers in flight and
+		// hand-over slack.
+		limit := int64(2*workers + shards + workers + 2*shards + 2)
+		if got := maxInFlight.Load(); got > limit {
+			t.Errorf("shards=%d: max in-flight items %d exceeds bound %d", shards, got, limit)
+		}
 	}
 }
 
@@ -227,26 +380,32 @@ func TestMergeStreamsBoundedInFlight(t *testing.T) {
 // requested number of workers at once, across all sources combined.
 func TestMergeStreamsConcurrencyCap(t *testing.T) {
 	const workers = 3
-	var cur, peak atomic.Int64
-	next := []func() (int, error){sliceNext(seq(0, 50)), sliceNext(seq(1, 50)), sliceNext(seq(2, 50))}
-	err := MergeStreams(workers, next,
-		func(shard, idx int, v int) (int, error) {
-			c := cur.Add(1)
-			defer cur.Add(-1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
+	for _, shards := range []int{1, 3} {
+		var cur, peak atomic.Int64
+		next := make([]func() (int, error), shards)
+		for s := range next {
+			next[s] = sliceNext(seq(s, 150/shards))
+		}
+		err := MergeStreams(workers, next,
+			func(shard, idx int, v int) (int, error) {
+				c := cur.Add(1)
+				defer cur.Add(-1)
+				for {
+					p := peak.Load()
+					if c <= p || peak.CompareAndSwap(p, c) {
+						break
+					}
 				}
-			}
-			time.Sleep(100 * time.Microsecond)
-			return v, nil
-		},
-		func(shard, idx int, r int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got > workers {
-		t.Errorf("peak concurrency %d exceeds %d workers", got, workers)
+				time.Sleep(100 * time.Microsecond)
+				return v, nil
+			},
+			func(shard, idx int, r int) error { return nil },
+			noEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got > workers {
+			t.Errorf("shards=%d: peak concurrency %d exceeds %d workers", shards, got, workers)
+		}
 	}
 }

@@ -460,9 +460,13 @@ func TestSpoolWatcherReleasesShardsWhenManifestRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shard lands before the manifest and may be ingested standalone
+	// first; wait for the manifest's own job, or the removal below could
+	// come before the watcher ever saw the manifest.
 	waitFor(t, "manifest ingested", func() bool {
 		jobs := s.Jobs()
-		return len(jobs) == 1 && jobs[0].Status == StatusDone
+		return len(jobs) == 1 && jobs[0].Status == StatusDone &&
+			jobs[0].Path == filepath.Base(manifest)
 	})
 
 	if err := os.Remove(manifest); err != nil {

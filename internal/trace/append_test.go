@@ -526,52 +526,3 @@ func TestAppendStreamRejectsMismatch(t *testing.T) {
 		t.Fatal("stream for another dataset accepted")
 	}
 }
-
-// TestDeltaShardTruncation: every strict byte prefix of a delta shard
-// must fail to decode — the GSB1 sentinel/trailer discipline makes
-// truncation detectable at any byte.
-func TestDeltaShardTruncation(t *testing.T) {
-	full := genShardDS(t, 0.02, 59)
-	base, deltas := splitDataset(full)
-	if len(deltas) == 0 {
-		t.Skip("no deltas at this scale")
-	}
-	dir := t.TempDir()
-	manifest, err := base.SaveShards(dir, trace.ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendDeltas(t, manifest, deltas[:2])
-
-	ss, err := trace.OpenShardSet(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := ss.Manifest.Shards[len(ss.Manifest.Shards)-1]
-	raw, err := os.ReadFile(filepath.Join(dir, delta.File))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	decode := func(b []byte) error {
-		sr, err := trace.NewStreamReader(bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		for {
-			if _, err := sr.Next(); err == io.EOF {
-				return nil
-			} else if err != nil {
-				return err
-			}
-		}
-	}
-	if err := decode(raw); err != nil {
-		t.Fatalf("full delta shard failed to decode: %v", err)
-	}
-	for n := 0; n < len(raw); n++ {
-		if decode(raw[:n]) == nil {
-			t.Fatalf("truncation to %d of %d bytes decoded cleanly", n, len(raw))
-		}
-	}
-}

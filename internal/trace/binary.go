@@ -121,6 +121,20 @@ func (e *frameEnc) label(l Label) {
 	e.str(string(l))
 }
 
+// poiTable encodes a POI table as the header carries it: the count,
+// then each venue's name, category, E7 location and popularity. Both
+// the writer and POIChecksum use it, so the checksum is the hash of the
+// bytes a header holds.
+func (e *frameEnc) poiTable(pois []poi.POI) {
+	e.uvarint(uint64(len(pois)))
+	for _, p := range pois {
+		e.str(p.Name)
+		e.varint(int64(p.Category))
+		e.latlon(p.Loc)
+		e.f64(p.Popularity)
+	}
+}
+
 // --- decoding helpers ---
 
 // frameDec decodes one frame payload with a sticky error, so call sites
@@ -293,13 +307,7 @@ func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, e
 	var hdr frameEnc
 	hdr.uvarint(binaryVersion)
 	hdr.str(name)
-	hdr.uvarint(uint64(len(pois)))
-	for _, p := range pois {
-		hdr.str(p.Name)
-		hdr.varint(int64(p.Category))
-		hdr.latlon(p.Loc)
-		hdr.f64(p.Popularity)
-	}
+	hdr.poiTable(pois)
 	if _, err := sw.w.Write(hdr.buf); err != nil {
 		return nil, fmt.Errorf("trace: write binary header: %w", err)
 	}

@@ -101,13 +101,7 @@ type Manifest struct {
 // needs — every shard must decode checkins against the same venues.
 func POIChecksum(pois []poi.POI) string {
 	var e frameEnc
-	e.uvarint(uint64(len(pois)))
-	for _, p := range pois {
-		e.str(p.Name)
-		e.varint(int64(p.Category))
-		e.latlon(p.Loc)
-		e.f64(p.Popularity)
-	}
+	e.poiTable(pois)
 	return fmt.Sprintf("sha256:%x", sha256.Sum256(e.buf))
 }
 
