@@ -25,18 +25,18 @@ package checkpoint
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"geosocial/internal/core"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // payloadVersion is the checkpoint payload schema version, stored in
@@ -360,49 +360,39 @@ func (fr *Frag) Abort() {
 // first ID as varint, then positive deltas). Sorting makes the
 // encoding canonical regardless of delivery order.
 func encodeIDs(ids []int) []byte {
-	sorted := make([]int, len(ids))
-	copy(sorted, ids)
-	sort.Ints(sorted)
-	buf := binary.AppendUvarint(nil, uint64(len(sorted)))
-	prev := 0
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	var e wire.Enc
+	e.Uvarint(uint64(len(sorted)))
 	for i, id := range sorted {
 		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(id))
+			e.Varint(int64(id))
 		} else {
-			buf = binary.AppendUvarint(buf, uint64(id-prev))
+			e.Uvarint(uint64(id - sorted[i-1]))
 		}
-		prev = id
 	}
-	return buf
+	return e.Buf
 }
 
 // decodeIDs reverses encodeIDs.
 func decodeIDs(data []byte) ([]int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, fmt.Errorf("checkpoint: bad user-ID count")
-	}
-	pos := used
+	d := wire.NewDec(data, "checkpoint: user IDs")
+	n := d.Uvarint()
 	ids := make([]int, 0, min(n, 1<<16))
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		if i == 0 {
-			v, used := binary.Varint(data[pos:])
-			if used <= 0 {
-				return nil, fmt.Errorf("checkpoint: bad user ID at offset %d", pos)
-			}
-			prev, pos = v, pos+used
+			ids = append(ids, int(d.Varint()))
+		} else if delta := d.Uvarint(); delta == 0 {
+			d.Fail("zero delta after user ID %d", ids[i-1])
 		} else {
-			d, used := binary.Uvarint(data[pos:])
-			if used <= 0 || d == 0 {
-				return nil, fmt.Errorf("checkpoint: bad user-ID delta at offset %d", pos)
-			}
-			prev, pos = prev+int64(d), pos+used
+			ids = append(ids, ids[i-1]+int(delta))
 		}
-		ids = append(ids, int(prev))
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after user IDs", len(data)-pos)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if d.Left() != 0 {
+		return nil, fmt.Errorf("checkpoint: %d trailing bytes after user IDs", d.Left())
 	}
 	return ids, nil
 }

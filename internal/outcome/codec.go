@@ -1,17 +1,16 @@
 package outcome
 
-// GSO1 wire encoding: the varint/float primitives plus the record and
-// header codecs. See the package comment for the byte-level layout.
+// GSO1 record codec over the internal/wire primitives. See the package
+// comment for the byte-level layout.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"geosocial/internal/classify"
 	"geosocial/internal/detect"
 	"geosocial/internal/levy"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // logMagic identifies the outcome-log format ("GeoSocial Outcomes").
@@ -21,11 +20,8 @@ var logMagic = [4]byte{'G', 'S', 'O', '1'}
 const logVersion = 1
 
 const (
-	// maxRecordBytes caps a single record so a corrupt length prefix
-	// cannot trigger a multi-gigabyte allocation.
+	// maxRecordBytes caps a single record.
 	maxRecordBytes = 1 << 28
-	// maxStringBytes caps an encoded string for the same reason.
-	maxStringBytes = 1 << 20
 	// maxKindCount bounds the header kind count: kinds are stored as
 	// single bytes, so anything larger is structurally impossible.
 	maxKindCount = 256
@@ -34,93 +30,58 @@ const (
 	allocHint = 1 << 16
 )
 
-// labelTable enumerates the known ground-truth labels; the index is the
-// wire encoding. Unknown labels are written as len(labelTable) + string.
-var labelTable = [...]trace.Label{
-	trace.LabelNone, trace.LabelHonest, trace.LabelSuperfluous,
-	trace.LabelRemote, trace.LabelDriveby, trace.LabelOther,
-}
-
-// --- encoding helpers ---
-
-// recEnc accumulates one record's payload in memory (records are
-// length-prefixed, so the size must be known before the first byte
-// reaches the stream).
-type recEnc struct{ buf []byte }
-
-func (e *recEnc) reset()           { e.buf = e.buf[:0] }
-func (e *recEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *recEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *recEnc) f64(v float64)    { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *recEnc) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *recEnc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *recEnc) label(l trace.Label) {
-	for i, known := range labelTable {
-		if l == known {
-			e.uvarint(uint64(i))
-			return
-		}
-	}
-	e.uvarint(uint64(len(labelTable)))
-	e.str(string(l))
-}
-
-// flights writes one Levy flight block as two float64 columns.
-func (e *recEnc) flights(fl []levy.Flight) {
-	e.uvarint(uint64(len(fl)))
+// encodeFlights writes one Levy flight block as two float64 columns.
+func encodeFlights(e *wire.Enc, fl []levy.Flight) {
+	e.Uvarint(uint64(len(fl)))
 	for _, f := range fl {
-		e.f64(f.Dist)
+		e.F64(f.Dist)
 	}
 	for _, f := range fl {
-		e.f64(f.Time)
+		e.F64(f.Time)
 	}
 }
 
 // encodeRecord appends the record's payload to e. The record must have
 // passed validate.
-func encodeRecord(e *recEnc, r *Record) error {
-	e.varint(int64(r.UserID))
-	e.varint(int64(r.Profile.Friends))
-	e.varint(int64(r.Profile.Badges))
-	e.varint(int64(r.Profile.Mayors))
-	e.f64(r.Profile.CheckinsPerDay)
-	e.uvarint(uint64(r.Visits))
-	e.uvarint(uint64(r.Missing))
+func encodeRecord(e *wire.Enc, r *Record) error {
+	e.Varint(int64(r.UserID))
+	e.Varint(int64(r.Profile.Friends))
+	e.Varint(int64(r.Profile.Badges))
+	e.Varint(int64(r.Profile.Mayors))
+	e.F64(r.Profile.CheckinsPerDay)
+	e.Uvarint(uint64(r.Visits))
+	e.Uvarint(uint64(r.Missing))
 
-	e.uvarint(uint64(len(r.Times)))
+	e.Uvarint(uint64(len(r.Times)))
 	var prev int64
 	for i, t := range r.Times {
 		if i == 0 {
-			e.varint(t)
+			e.Varint(t)
 		} else {
 			if t < prev {
 				return fmt.Errorf("outcome: user %d: checkin %d out of order", r.UserID, i)
 			}
-			e.uvarint(uint64(t - prev))
+			e.Uvarint(uint64(t - prev))
 		}
 		prev = t
 	}
 	for _, k := range r.Kinds {
-		e.byte(byte(k))
+		e.Byte(byte(k))
 	}
 	for _, l := range r.Truth {
-		e.label(l)
+		trace.EncodeLabel(e, l)
 	}
 	for j := 0; j < detect.FeatureDim; j++ {
 		for i := range r.Features {
-			e.f64(r.Features[i][j])
+			e.F64(r.Features[i][j])
 		}
 	}
-	e.flights(r.GPSFlights)
-	e.flights(r.HonestFlights)
-	e.flights(r.AllFlights)
-	e.uvarint(uint64(len(r.Pauses)))
+	encodeFlights(e, r.GPSFlights)
+	encodeFlights(e, r.HonestFlights)
+	encodeFlights(e, r.AllFlights)
+	e.Uvarint(uint64(len(r.Pauses)))
 	for _, p := range r.Pauses {
-		e.f64(p)
+		e.F64(p)
 	}
 	return nil
 }
@@ -129,17 +90,26 @@ func encodeRecord(e *recEnc, r *Record) error {
 // log stores length-prefixed), validating it first. This is the unit
 // the checkpoint store persists per user; DecodeRecord reverses it.
 func EncodeRecord(r *Record) ([]byte, error) {
+	var e wire.Enc
+	if err := appendRecord(&e, r); err != nil {
+		return nil, err
+	}
+	return e.Buf, nil
+}
+
+// appendRecord validates r and appends its payload to e, enforcing the
+// record size limit. Writer.Write and EncodeRecord share it.
+func appendRecord(e *wire.Enc, r *Record) error {
 	if err := r.validate(classify.NumKinds); err != nil {
-		return nil, err
+		return err
 	}
-	var e recEnc
-	if err := encodeRecord(&e, r); err != nil {
-		return nil, err
+	if err := encodeRecord(e, r); err != nil {
+		return err
 	}
-	if len(e.buf) > maxRecordBytes {
-		return nil, fmt.Errorf("outcome: record for user %d exceeds %d bytes", r.UserID, maxRecordBytes)
+	if len(e.Buf) > maxRecordBytes {
+		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", r.UserID, maxRecordBytes)
 	}
-	return e.buf, nil
+	return nil
 }
 
 // DecodeRecord decodes and validates one payload produced by
@@ -148,120 +118,19 @@ func DecodeRecord(data []byte) (*Record, error) {
 	return decodeRecord(data, classify.NumKinds)
 }
 
-// --- decoding helpers ---
-
-// recDec decodes one record payload with a sticky error, so call sites
-// stay linear and check failure once.
-type recDec struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *recDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *recDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("outcome: record: bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *recDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("outcome: record: bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *recDec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("outcome: record: truncated float at offset %d", d.pos)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *recDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.fail("outcome: record: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *recDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("outcome: record: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("outcome: record: truncated string at offset %d", d.pos)
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-func (d *recDec) label() trace.Label {
-	idx := d.uvarint()
-	if d.err != nil {
-		return trace.LabelNone
-	}
-	if idx < uint64(len(labelTable)) {
-		return labelTable[idx]
-	}
-	if idx == uint64(len(labelTable)) {
-		return trace.Label(d.str())
-	}
-	d.fail("outcome: record: bad label code %d", idx)
-	return trace.LabelNone
-}
-
-// flights reads one Levy flight block (nil when empty — decoded
+// decodeFlights reads one Levy flight block (nil when empty — decoded
 // records are in canonical form, see canon).
-func (d *recDec) flights() []levy.Flight {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
+func decodeFlights(d *wire.Dec) []levy.Flight {
+	n := d.Uvarint()
+	if d.Err() != nil || n == 0 {
 		return nil
 	}
 	out := make([]levy.Flight, 0, min(n, allocHint))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, levy.Flight{Dist: d.f64()})
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		out = append(out, levy.Flight{Dist: d.F64()})
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out[i].Time = d.f64()
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		out[i].Time = d.F64()
 	}
 	return out
 }
@@ -270,67 +139,66 @@ func (d *recDec) flights() []levy.Flight {
 // header's kind count. The feature dimension is fixed at
 // detect.FeatureDim (the reader rejects headers with any other value).
 func decodeRecord(data []byte, kindCount int) (*Record, error) {
-	d := recDec{data: data}
+	d := wire.NewDec(data, "outcome: record")
 	r := &Record{}
-	r.UserID = int(d.varint())
-	r.Profile.Friends = int(d.varint())
-	r.Profile.Badges = int(d.varint())
-	r.Profile.Mayors = int(d.varint())
-	r.Profile.CheckinsPerDay = d.f64()
-	r.Visits = int(d.uvarint())
-	r.Missing = int(d.uvarint())
+	r.UserID = int(d.Varint())
+	r.Profile.Friends = int(d.Varint())
+	r.Profile.Badges = int(d.Varint())
+	r.Profile.Mayors = int(d.Varint())
+	r.Profile.CheckinsPerDay = d.F64()
+	r.Visits = int(d.Uvarint())
+	r.Missing = int(d.Uvarint())
 
-	nCk := d.uvarint()
-	if d.err == nil && nCk > 0 {
+	nCk := d.Uvarint()
+	if d.Err() == nil && nCk > 0 {
 		r.Times = make([]int64, 0, min(nCk, allocHint))
 		var t int64
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
+		for i := uint64(0); i < nCk && d.Err() == nil; i++ {
 			if i == 0 {
-				t = d.varint()
+				t = d.Varint()
 			} else {
-				t += int64(d.uvarint())
+				t += int64(d.Uvarint())
 			}
 			r.Times = append(r.Times, t)
 		}
 		r.Kinds = make([]classify.Kind, 0, min(nCk, allocHint))
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Kinds = append(r.Kinds, classify.Kind(d.byte()))
+		for i := uint64(0); i < nCk && d.Err() == nil; i++ {
+			r.Kinds = append(r.Kinds, classify.Kind(d.Byte()))
 		}
 		r.Truth = make([]trace.Label, 0, min(nCk, allocHint))
-		for i := uint64(0); i < nCk && d.err == nil; i++ {
-			r.Truth = append(r.Truth, d.label())
+		for i := uint64(0); i < nCk && d.Err() == nil; i++ {
+			r.Truth = append(r.Truth, trace.DecodeLabel(&d))
 		}
-		if d.err == nil {
+		if d.Err() == nil {
 			// The columns are fixed-width, so bound the allocation by the
 			// bytes actually present before trusting the untrusted count.
-			if need := nCk * detect.FeatureDim * 8; uint64(len(d.data)-d.pos) < need {
-				d.fail("outcome: record: %d checkins claim %d feature bytes, %d remain",
-					nCk, need, len(d.data)-d.pos)
+			if need := nCk * detect.FeatureDim * 8; uint64(d.Left()) < need {
+				d.Fail("%d checkins claim %d feature bytes, %d remain", nCk, need, d.Left())
 			} else {
 				r.Features = make([][detect.FeatureDim]float64, nCk)
-				for j := 0; j < detect.FeatureDim && d.err == nil; j++ {
-					for i := uint64(0); i < nCk && d.err == nil; i++ {
-						r.Features[i][j] = d.f64()
+				for j := 0; j < detect.FeatureDim && d.Err() == nil; j++ {
+					for i := uint64(0); i < nCk && d.Err() == nil; i++ {
+						r.Features[i][j] = d.F64()
 					}
 				}
 			}
 		}
 	}
-	r.GPSFlights = d.flights()
-	r.HonestFlights = d.flights()
-	r.AllFlights = d.flights()
-	nP := d.uvarint()
-	if d.err == nil && nP > 0 {
+	r.GPSFlights = decodeFlights(&d)
+	r.HonestFlights = decodeFlights(&d)
+	r.AllFlights = decodeFlights(&d)
+	nP := d.Uvarint()
+	if d.Err() == nil && nP > 0 {
 		r.Pauses = make([]float64, 0, min(nP, allocHint))
-		for i := uint64(0); i < nP && d.err == nil; i++ {
-			r.Pauses = append(r.Pauses, d.f64())
+		for i := uint64(0); i < nP && d.Err() == nil; i++ {
+			r.Pauses = append(r.Pauses, d.F64())
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, len(d.data)-d.pos)
+	if d.Left() != 0 {
+		return nil, fmt.Errorf("outcome: record for user %d has %d trailing bytes", r.UserID, d.Left())
 	}
 	if err := r.validate(kindCount); err != nil {
 		return nil, err

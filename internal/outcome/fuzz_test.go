@@ -14,6 +14,7 @@ import (
 	"geosocial/internal/detect"
 	"geosocial/internal/levy"
 	"geosocial/internal/trace"
+	"geosocial/internal/wire"
 )
 
 // seedRecord builds a small hand-rolled record exercising every column.
@@ -43,16 +44,16 @@ func seedRecord() *Record {
 }
 
 func FuzzRecordDecode(f *testing.F) {
-	var e recEnc
+	var e wire.Enc
 	if err := encodeRecord(&e, seedRecord()); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), e.buf...))
-	e.reset()
+	f.Add(append([]byte(nil), e.Buf...))
+	e.Reset()
 	if err := encodeRecord(&e, &Record{UserID: -3}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), e.buf...))
+	f.Add(append([]byte(nil), e.Buf...))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -64,11 +65,11 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		// A record the decoder accepted must re-encode and decode to an
 		// identical record (NaN payloads break DeepEqual, so skip those).
-		var enc recEnc
+		var enc wire.Enc
 		if err := encodeRecord(&enc, rec); err != nil {
 			t.Fatalf("accepted record failed to re-encode: %v", err)
 		}
-		again, err := decodeRecord(enc.buf, classify.NumKinds)
+		again, err := decodeRecord(enc.Buf, classify.NumKinds)
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}

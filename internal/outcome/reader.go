@@ -3,12 +3,12 @@ package outcome
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 
 	"geosocial/internal/detect"
+	"geosocial/internal/wire"
 )
 
 // Reader decodes an outcome log one record at a time, holding only the
@@ -19,106 +19,59 @@ import (
 // has been verified. A truncated stream yields a non-EOF error, never a
 // silently short analysis.
 type Reader struct {
-	r         *bufio.Reader
+	frames    *wire.Frames
 	name      string
 	kindCount int
 	buf       []byte
-	users     uint64
 	prevID    int
-	done      bool
 }
 
 // NewReader decodes and validates the log header. The reader expects
 // uncompressed bytes; Open handles files and gzip.
 func NewReader(r io.Reader) (*Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("outcome: read header: %w", noEOF(err))
-	}
-	if magic != logMagic {
-		return nil, fmt.Errorf("outcome: not an outcome log (magic %q)", magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("outcome: read header: %w", noEOF(err))
-	}
-	if version != logVersion {
-		return nil, fmt.Errorf("outcome: unsupported log version %d (have %d)", version, logVersion)
-	}
-	rd := &Reader{r: br}
-	if rd.name, err = readString(br); err != nil {
+	wr := wire.NewReader(r)
+	wr.Header(logMagic, logVersion, "an outcome log")
+	name := wr.Str()
+	dim := wr.Uvarint()
+	kinds := wr.Uvarint()
+	if err := wr.Err(); err != nil {
 		return nil, fmt.Errorf("outcome: read header: %w", err)
-	}
-	dim, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("outcome: read header: %w", noEOF(err))
 	}
 	if dim != detect.FeatureDim {
 		return nil, fmt.Errorf("outcome: log carries %d-dimensional features (have %d)", dim, detect.FeatureDim)
 	}
-	kinds, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("outcome: read header: %w", noEOF(err))
-	}
 	if kinds == 0 || kinds > maxKindCount {
 		return nil, fmt.Errorf("outcome: invalid kind count %d", kinds)
 	}
-	rd.kindCount = int(kinds)
-	return rd, nil
+	return &Reader{frames: wire.NewFrames(wr, maxRecordBytes), name: name, kindCount: int(kinds)}, nil
 }
 
 // Name returns the dataset name from the header.
 func (rd *Reader) Name() string { return rd.name }
 
 // Users returns the number of records decoded so far.
-func (rd *Reader) Users() int { return int(rd.users) }
+func (rd *Reader) Users() int { return int(rd.frames.Count()) }
 
 // Next decodes, validates and returns the next record, or io.EOF once
 // the trailer has been read and verified. The record is freshly
 // allocated and owned by the caller.
 func (rd *Reader) Next() (*Record, error) {
-	if rd.done {
+	data, err := rd.frames.Next(rd.buf)
+	if err == io.EOF {
 		return nil, io.EOF
 	}
-	recLen, err := binary.ReadUvarint(rd.r)
 	if err != nil {
-		return nil, fmt.Errorf("outcome: read record: %w", noEOF(err))
+		return nil, fmt.Errorf("outcome: read log: %w", err)
 	}
-	if recLen == 0 {
-		// Sentinel: verify the trailer then report a clean end.
-		count, err := binary.ReadUvarint(rd.r)
-		if err != nil {
-			return nil, fmt.Errorf("outcome: read trailer: %w", noEOF(err))
-		}
-		if count != rd.users {
-			return nil, fmt.Errorf("outcome: trailer record count %d, decoded %d", count, rd.users)
-		}
-		rd.done = true
-		return nil, io.EOF
-	}
-	if recLen > maxRecordBytes {
-		return nil, fmt.Errorf("outcome: record length %d exceeds limit", recLen)
-	}
-	if uint64(cap(rd.buf)) < recLen {
-		rd.buf = make([]byte, recLen)
-	}
-	buf := rd.buf[:recLen]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return nil, fmt.Errorf("outcome: read record: %w", noEOF(err))
-	}
-	rec, err := decodeRecord(buf, rd.kindCount)
+	rd.buf = data
+	rec, err := decodeRecord(data, rd.kindCount)
 	if err != nil {
 		return nil, err
 	}
-	if rd.users > 0 && rec.UserID <= rd.prevID {
+	if rd.frames.Count() > 1 && rec.UserID <= rd.prevID {
 		return nil, fmt.Errorf("outcome: user %d out of canonical order (after %d)", rec.UserID, rd.prevID)
 	}
 	rd.prevID = rec.UserID
-	rd.users++
 	return rec, nil
 }
 
@@ -171,31 +124,4 @@ func Scan(path string, fn func(*Record) error) error {
 	}
 	defer lf.Close()
 	return each(lf, fn)
-}
-
-// readString reads a uvarint-prefixed string from a header stream.
-func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", noEOF(err)
-	}
-	if n > maxStringBytes {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", noEOF(err)
-	}
-	return string(buf), nil
-}
-
-// noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a
-// header or record, running out of bytes is truncation, not a clean
-// end, and must never be mistaken for the iterator's end-of-stream
-// signal.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

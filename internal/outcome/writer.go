@@ -3,7 +3,6 @@ package outcome
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +11,7 @@ import (
 
 	"geosocial/internal/classify"
 	"geosocial/internal/detect"
+	"geosocial/internal/wire"
 )
 
 // recIdx locates one spooled record: the user ID it belongs to and the
@@ -39,7 +39,7 @@ type Writer struct {
 	spool     *os.File
 	spoolPath string
 	bw        *bufio.Writer
-	enc       recEnc
+	enc       wire.Enc
 	index     []recIdx
 	off       int64
 	maxSize   int32
@@ -72,20 +72,14 @@ func (w *Writer) Write(rec *Record) error {
 	if w.spool == nil {
 		return fmt.Errorf("outcome: write: log writer closed")
 	}
-	if err := rec.validate(classify.NumKinds); err != nil {
+	w.enc.Reset()
+	if err := appendRecord(&w.enc, rec); err != nil {
 		return err
 	}
-	w.enc.reset()
-	if err := encodeRecord(&w.enc, rec); err != nil {
-		return err
-	}
-	if len(w.enc.buf) > maxRecordBytes {
-		return fmt.Errorf("outcome: record for user %d exceeds %d bytes", rec.UserID, maxRecordBytes)
-	}
-	if _, err := w.bw.Write(w.enc.buf); err != nil {
+	if _, err := w.bw.Write(w.enc.Buf); err != nil {
 		return fmt.Errorf("outcome: spool record: %w", err)
 	}
-	size := int32(len(w.enc.buf))
+	size := int32(len(w.enc.Buf))
 	w.index = append(w.index, recIdx{id: rec.UserID, off: w.off, size: size})
 	w.off += int64(size)
 	if size > w.maxSize {
@@ -175,39 +169,24 @@ func (w *Writer) finish() error {
 
 // writeLog emits header, records in index order, and trailer.
 func (w *Writer) writeLog(bw *bufio.Writer) error {
-	if _, err := bw.Write(logMagic[:]); err != nil {
-		return fmt.Errorf("outcome: write header: %w", err)
-	}
-	var hdr recEnc
-	hdr.uvarint(logVersion)
-	hdr.str(w.name)
-	hdr.uvarint(uint64(detect.FeatureDim))
-	hdr.uvarint(uint64(classify.NumKinds))
-	if _, err := bw.Write(hdr.buf); err != nil {
-		return fmt.Errorf("outcome: write header: %w", err)
-	}
+	ww := wire.NewWriter(bw)
+	ww.Raw(logMagic[:])
+	ww.Uvarint(logVersion)
+	ww.Str(w.name)
+	ww.Uvarint(uint64(detect.FeatureDim))
+	ww.Uvarint(uint64(classify.NumKinds))
 
 	buf := make([]byte, w.maxSize)
-	var lenBuf [binary.MaxVarintLen64]byte
 	for _, ix := range w.index {
 		rec := buf[:ix.size]
 		if _, err := w.spool.ReadAt(rec, ix.off); err != nil {
 			return fmt.Errorf("outcome: reread spool: %w", err)
 		}
-		n := binary.PutUvarint(lenBuf[:], uint64(ix.size))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return fmt.Errorf("outcome: write record: %w", err)
-		}
-		if _, err := bw.Write(rec); err != nil {
-			return fmt.Errorf("outcome: write record: %w", err)
-		}
+		ww.Frame(rec)
 	}
-
-	var tail recEnc
-	tail.uvarint(0) // sentinel: no more records
-	tail.uvarint(uint64(len(w.index)))
-	if _, err := bw.Write(tail.buf); err != nil {
-		return fmt.Errorf("outcome: write trailer: %w", err)
+	ww.End()
+	if err := ww.Err(); err != nil {
+		return fmt.Errorf("outcome: write log: %w", err)
 	}
 	return nil
 }

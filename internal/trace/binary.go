@@ -48,15 +48,14 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 
 	"geosocial/internal/geo"
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // binaryMagic identifies the binary dataset format ("GeoSocial Binary").
@@ -68,11 +67,8 @@ const binaryVersion = 1
 const (
 	// coordScale converts degrees to fixed-point E7 ticks.
 	coordScale = 1e7
-	// maxFrameBytes caps a single user frame so a corrupt length prefix
-	// cannot trigger a multi-gigabyte allocation.
+	// maxFrameBytes caps a single user frame.
 	maxFrameBytes = 1 << 30
-	// maxStringBytes caps an encoded string for the same reason.
-	maxStringBytes = 1 << 20
 	// allocHint caps speculative slice preallocation from untrusted
 	// counts; slices grow past it by appending.
 	allocHint = 1 << 16
@@ -84,186 +80,53 @@ var labelTable = [...]Label{
 	LabelNone, LabelHonest, LabelSuperfluous, LabelRemote, LabelDriveby, LabelOther,
 }
 
-func toE7(deg float64) int64 { return int64(math.Round(deg * coordScale)) }
-func fromE7(v int64) float64 { return float64(v) / coordScale }
-
-// --- encoding helpers ---
-
-// frameEnc accumulates one frame's payload in memory (frames are
-// length-prefixed, so the size must be known before the first byte is
-// written to the stream).
-type frameEnc struct{ buf []byte }
-
-func (e *frameEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *frameEnc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *frameEnc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *frameEnc) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *frameEnc) byte(b byte) { e.buf = append(e.buf, b) }
-
-func (e *frameEnc) latlon(p geo.LatLon) {
-	e.varint(toE7(p.Lat))
-	e.varint(toE7(p.Lon))
-}
-
-func (e *frameEnc) label(l Label) {
+// EncodeLabel appends l's wire code: its labelTable index, or the
+// escape len(labelTable) followed by the label as a string. GSB1 frames
+// and GSO1 records share it.
+func EncodeLabel(e *wire.Enc, l Label) {
 	for i, known := range labelTable {
 		if l == known {
-			e.uvarint(uint64(i))
+			e.Uvarint(uint64(i))
 			return
 		}
 	}
-	e.uvarint(uint64(len(labelTable)))
-	e.str(string(l))
+	e.Uvarint(uint64(len(labelTable)))
+	e.Str(string(l))
 }
 
-// poiTable encodes a POI table as the header carries it: the count,
-// then each venue's name, category, E7 location and popularity. Both
-// the writer and POIChecksum use it, so the checksum is the hash of the
-// bytes a header holds.
-func (e *frameEnc) poiTable(pois []poi.POI) {
-	e.uvarint(uint64(len(pois)))
-	for _, p := range pois {
-		e.str(p.Name)
-		e.varint(int64(p.Category))
-		e.latlon(p.Loc)
-		e.f64(p.Popularity)
-	}
-}
-
-// --- decoding helpers ---
-
-// frameDec decodes one frame payload with a sticky error, so call sites
-// stay linear and check failure once.
-type frameDec struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *frameDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (d *frameDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("trace: binary frame: bad uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *frameDec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("trace: binary frame: bad varint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *frameDec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos+8 > len(d.data) {
-		d.fail("trace: binary frame: truncated float at offset %d", d.pos)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.pos:]))
-	d.pos += 8
-	return v
-}
-
-func (d *frameDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("trace: binary frame: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("trace: binary frame: truncated string at offset %d", d.pos)
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-// strIntern is str resolving the bytes through an intern table first:
-// a hit returns the canonical string without allocating (the compiler
-// elides the string conversion in a map lookup), a miss copies as usual.
-func (d *frameDec) strIntern(names map[string]string) string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringBytes {
-		d.fail("trace: binary frame: string length %d exceeds limit", n)
-		return ""
-	}
-	if d.pos+int(n) > len(d.data) {
-		d.fail("trace: binary frame: truncated string at offset %d", d.pos)
-		return ""
-	}
-	b := d.data[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	if s, ok := names[string(b)]; ok {
-		return s
-	}
-	return string(b)
-}
-
-func (d *frameDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.fail("trace: binary frame: truncated byte at offset %d", d.pos)
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *frameDec) latlon() geo.LatLon {
-	lat := d.varint()
-	lon := d.varint()
-	return geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)}
-}
-
-func (d *frameDec) label() Label {
-	idx := d.uvarint()
-	if d.err != nil {
-		return LabelNone
-	}
+// DecodeLabel reads a label written by EncodeLabel.
+func DecodeLabel(d *wire.Dec) Label {
+	idx := d.Uvarint()
 	if idx < uint64(len(labelTable)) {
 		return labelTable[idx]
 	}
 	if idx == uint64(len(labelTable)) {
-		return Label(d.str())
+		return Label(d.Str())
 	}
-	d.fail("trace: binary frame: bad label code %d", idx)
+	d.Fail("bad label code %d", idx)
 	return LabelNone
+}
+
+func toE7(deg float64) int64 { return int64(math.Round(deg * coordScale)) }
+func fromE7(v int64) float64 { return float64(v) / coordScale }
+
+func encodeLatLon(e *wire.Enc, p geo.LatLon) {
+	e.Varint(toE7(p.Lat))
+	e.Varint(toE7(p.Lon))
+}
+
+// encodePOITable encodes a POI table as the header carries it: the
+// count, then each venue's name, category, E7 location and popularity.
+// Both the writer and POIChecksum use it, so the checksum is the hash
+// of the bytes a header holds.
+func encodePOITable(e *wire.Enc, pois []poi.POI) {
+	e.Uvarint(uint64(len(pois)))
+	for _, p := range pois {
+		e.Str(p.Name)
+		e.Varint(int64(p.Category))
+		encodeLatLon(e, p.Loc)
+		e.F64(p.Popularity)
+	}
 }
 
 // --- stream writer ---
@@ -278,12 +141,10 @@ func (d *frameDec) label() Label {
 // The writer does not close or flush the underlying io.Writer beyond its
 // own buffering; callers own gzip wrapping and file lifecycle.
 type StreamWriter struct {
-	w       *bufio.Writer
-	scratch frameEnc
+	w       *wire.Writer
+	scratch wire.Enc
 	seen    map[int]struct{}
 	numPOIs int
-	users   uint64
-	bytes   int64
 	closed  bool
 }
 
@@ -292,36 +153,29 @@ func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, e
 	if _, err := poi.NewDB(pois); err != nil {
 		return nil, fmt.Errorf("trace: write binary: %w", err)
 	}
-	bw, ok := w.(*bufio.Writer)
-	if !ok {
-		bw = bufio.NewWriterSize(w, 1<<16)
-	}
 	sw := &StreamWriter{
-		w:       bw,
+		w:       wire.NewWriter(w),
 		seen:    make(map[int]struct{}),
 		numPOIs: len(pois),
 	}
-	if _, err := sw.w.Write(binaryMagic[:]); err != nil {
-		return nil, fmt.Errorf("trace: write binary header: %w", err)
+	hdr := &sw.scratch
+	hdr.Buf = append(hdr.Buf, binaryMagic[:]...)
+	hdr.Uvarint(binaryVersion)
+	hdr.Str(name)
+	encodePOITable(hdr, pois)
+	if sw.w.Raw(hdr.Buf); sw.w.Err() != nil {
+		return nil, fmt.Errorf("trace: write binary header: %w", sw.w.Err())
 	}
-	var hdr frameEnc
-	hdr.uvarint(binaryVersion)
-	hdr.str(name)
-	hdr.poiTable(pois)
-	if _, err := sw.w.Write(hdr.buf); err != nil {
-		return nil, fmt.Errorf("trace: write binary header: %w", err)
-	}
-	sw.bytes = int64(len(binaryMagic) + len(hdr.buf))
 	return sw, nil
 }
 
 // Users returns the number of user frames written so far.
-func (sw *StreamWriter) Users() int { return int(sw.users) }
+func (sw *StreamWriter) Users() int { return int(sw.w.Frames()) }
 
 // Bytes returns the number of uncompressed stream bytes produced so far
 // (header plus frames; the trailer is not yet counted before Close).
 // ShardWriter uses it to keep shards size-balanced.
-func (sw *StreamWriter) Bytes() int64 { return sw.bytes }
+func (sw *StreamWriter) Bytes() int64 { return sw.w.Len() }
 
 // WriteUser validates and appends one user frame.
 func (sw *StreamWriter) WriteUser(u *User) error {
@@ -339,62 +193,55 @@ func (sw *StreamWriter) WriteUser(u *User) error {
 	}
 
 	e := &sw.scratch
-	e.buf = e.buf[:0]
-	e.varint(int64(u.ID))
-	e.f64(u.Days)
-	e.varint(int64(u.Profile.Friends))
-	e.varint(int64(u.Profile.Badges))
-	e.varint(int64(u.Profile.Mayors))
-	e.f64(u.Profile.CheckinsPerDay)
+	e.Reset()
+	e.Varint(int64(u.ID))
+	e.F64(u.Days)
+	e.Varint(int64(u.Profile.Friends))
+	e.Varint(int64(u.Profile.Badges))
+	e.Varint(int64(u.Profile.Mayors))
+	e.F64(u.Profile.CheckinsPerDay)
 
-	e.uvarint(uint64(len(u.GPS)))
+	e.Uvarint(uint64(len(u.GPS)))
 	var prevT int64
 	var prevLat, prevLon int64
 	for i, p := range u.GPS {
 		if i == 0 {
-			e.varint(p.T)
+			e.Varint(p.T)
 		} else {
-			e.uvarint(uint64(p.T - prevT)) // Validate guarantees non-decreasing
+			e.Uvarint(uint64(p.T - prevT)) // Validate guarantees non-decreasing
 		}
 		prevT = p.T
 		lat, lon := toE7(p.Loc.Lat), toE7(p.Loc.Lon)
-		e.varint(lat - prevLat)
-		e.varint(lon - prevLon)
+		e.Varint(lat - prevLat)
+		e.Varint(lon - prevLon)
 		prevLat, prevLon = lat, lon
 		if p.Indoor {
-			e.byte(1)
+			e.Byte(1)
 		} else {
-			e.byte(0)
+			e.Byte(0)
 		}
 	}
 
-	e.uvarint(uint64(len(u.Checkins)))
+	e.Uvarint(uint64(len(u.Checkins)))
 	prevT = 0
 	for i, c := range u.Checkins {
 		if i == 0 {
-			e.varint(c.T)
+			e.Varint(c.T)
 		} else {
-			e.uvarint(uint64(c.T - prevT))
+			e.Uvarint(uint64(c.T - prevT))
 		}
 		prevT = c.T
-		e.uvarint(uint64(c.POIID))
-		e.str(c.POIName)
-		e.varint(int64(c.Category))
-		e.latlon(c.Loc)
-		e.label(c.Truth)
+		e.Uvarint(uint64(c.POIID))
+		e.Str(c.POIName)
+		e.Varint(int64(c.Category))
+		encodeLatLon(e, c.Loc)
+		EncodeLabel(e, c.Truth)
 	}
 
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(e.buf)))
-	if _, err := sw.w.Write(lenBuf[:n]); err != nil {
-		return fmt.Errorf("trace: write binary frame: %w", err)
-	}
-	if _, err := sw.w.Write(e.buf); err != nil {
-		return fmt.Errorf("trace: write binary frame: %w", err)
+	if sw.w.Frame(e.Buf); sw.w.Err() != nil {
+		return fmt.Errorf("trace: write binary frame: %w", sw.w.Err())
 	}
 	sw.seen[u.ID] = struct{}{}
-	sw.users++
-	sw.bytes += int64(n + len(e.buf))
 	return nil
 }
 
@@ -405,13 +252,7 @@ func (sw *StreamWriter) Close() error {
 		return nil
 	}
 	sw.closed = true
-	var tail frameEnc
-	tail.uvarint(0) // sentinel: no more frames
-	tail.uvarint(sw.users)
-	if _, err := sw.w.Write(tail.buf); err != nil {
-		return fmt.Errorf("trace: write binary trailer: %w", err)
-	}
-	sw.bytes += int64(len(tail.buf))
+	sw.w.End()
 	if err := sw.w.Flush(); err != nil {
 		return fmt.Errorf("trace: write binary trailer: %w", err)
 	}
@@ -439,20 +280,13 @@ func (sw *StreamWriter) Close() error {
 // frames from several readers own the (inherently serial) duplicate
 // check across their merged stream.
 type StreamReader struct {
-	r     *bufio.Reader
-	name  string
-	pois  []poi.POI
-	names map[string]string // POI-name intern table, read-only after header
-	seen  map[int]struct{}
-	bufs  sync.Pool // *[]byte, recycled by DecodeFrame
-	upool sync.Pool // *User, recycled by RecycleUser
-	users uint64
-	done  bool
-
-	// In-memory mode (NewStreamReaderBytes): frames are sliced straight
-	// out of mm — no copy, no buffer pool. Nil for io.Reader streams.
-	mm    []byte
-	mmPos int
+	frames *wire.Frames // in memory (NewStreamReaderBytes): no copy, no buffer pool
+	name   string
+	pois   []poi.POI
+	names  map[string]string // POI-name intern table, read-only after header
+	seen   map[int]struct{}
+	bufs   sync.Pool // *[]byte, recycled by DecodeFrame
+	upool  sync.Pool // *User, recycled by RecycleUser
 }
 
 // UserRecycler is implemented by frame sources whose DecodeFrame can
@@ -483,11 +317,9 @@ func (f Frame) UserID() (int, error) {
 	if f.user != nil {
 		return f.user.ID, nil
 	}
-	id, n := binary.Varint(f.data)
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: binary frame: bad user ID varint")
-	}
-	return int(id), nil
+	d := wire.NewDec(f.data, "trace: binary frame")
+	id := d.Varint()
+	return int(id), d.Err()
 }
 
 // Recycle returns an undecoded frame's buffer to the reader's pool
@@ -517,58 +349,22 @@ type FrameSource interface {
 // expects uncompressed bytes; callers own gzip unwrapping (OpenStream
 // does both).
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: not a binary dataset (magic %q)", magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported binary version %d (have %d)", version, binaryVersion)
-	}
-	sr := &StreamReader{r: br, seen: make(map[int]struct{})}
-	if sr.name, err = readString(br); err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", err)
-	}
-	nPOIs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read binary header: %w", noEOF(err))
-	}
+	wr := wire.NewReader(r)
+	wr.Header(binaryMagic, binaryVersion, "a binary dataset")
+	sr := &StreamReader{frames: wire.NewFrames(wr, maxFrameBytes), seen: make(map[int]struct{})}
+	sr.name = wr.Str()
+	nPOIs := wr.Uvarint()
 	sr.pois = make([]poi.POI, 0, min(nPOIs, allocHint))
-	for i := uint64(0); i < nPOIs; i++ {
-		p := poi.POI{ID: int(i)}
-		if p.Name, err = readString(br); err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, err)
-		}
-		cat, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Category = poi.Category(cat)
-		lat, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		lon, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)}
-		var popBits [8]byte
-		if _, err := io.ReadFull(br, popBits[:]); err != nil {
-			return nil, fmt.Errorf("trace: read POI %d: %w", i, noEOF(err))
-		}
-		p.Popularity = math.Float64frombits(binary.LittleEndian.Uint64(popBits[:]))
+	for i := uint64(0); i < nPOIs && wr.Err() == nil; i++ {
+		p := poi.POI{ID: int(i), Name: wr.Str()}
+		p.Category = poi.Category(wr.Varint())
+		lat := wr.Varint()
+		p.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(wr.Varint())}
+		p.Popularity = wr.F64()
 		sr.pois = append(sr.pois, p)
+	}
+	if err := wr.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read binary header: %w", err)
 	}
 	if _, err := poi.NewDB(sr.pois); err != nil {
 		return nil, fmt.Errorf("trace: invalid POI table: %w", err)
@@ -598,8 +394,7 @@ func NewStreamReaderBytes(data []byte) (*StreamReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr.mm = data
-	sr.mmPos = len(data) - r.Len() - br.Buffered()
+	sr.frames = wire.NewFramesBytes(data[len(data)-r.Len()-br.Buffered():], maxFrameBytes)
 	return sr, nil
 }
 
@@ -639,102 +434,28 @@ func (sr *StreamReader) decodeUnique(f Frame) (*User, error) {
 // frame's buffer comes from the reader's pool and is reclaimed by
 // DecodeFrame, so each frame must be decoded exactly once.
 func (sr *StreamReader) NextFrame() (Frame, error) {
-	if sr.done {
-		return Frame{}, io.EOF
+	var bp *[]byte // nil in memory: frames are subslices, nothing to pool
+	var buf []byte
+	if !sr.frames.InMemory() {
+		if bp, _ = sr.bufs.Get().(*[]byte); bp == nil {
+			bp = new([]byte)
+		}
+		buf = *bp
 	}
-	if sr.mm != nil {
-		return sr.nextFrameBytes()
-	}
-	frameLen, err := binary.ReadUvarint(sr.r)
+	data, err := sr.frames.Next(buf)
 	if err != nil {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
-	}
-	if frameLen == 0 {
-		// Sentinel: verify the trailer then report a clean end.
-		count, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return Frame{}, fmt.Errorf("trace: read binary trailer: %w", noEOF(err))
+		if bp != nil {
+			sr.bufs.Put(bp)
 		}
-		if count != sr.users {
-			return Frame{}, fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
+		if err != io.EOF {
+			err = fmt.Errorf("trace: binary stream: %w", err)
 		}
-		sr.done = true
-		return Frame{}, io.EOF
+		return Frame{}, err
 	}
-	if frameLen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
+	if bp != nil {
+		*bp = data
 	}
-	bp, _ := sr.bufs.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	buf, err := readGrowing(sr.r, (*bp)[:0], int(frameLen))
-	*bp = buf
-	if err != nil {
-		sr.bufs.Put(bp)
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", noEOF(err))
-	}
-	sr.users++
-	return Frame{data: buf, buf: bp}, nil
-}
-
-// readGrowing reads exactly n bytes into buf[:n]. A buffer that is
-// already big enough is filled in place; otherwise it grows only as
-// bytes actually arrive — one exact allocation up to 1 MiB, doubling
-// beyond — so an untrusted length prefix cannot reserve more memory
-// than the stream delivers.
-func readGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
-	if cap(buf) >= n {
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	const chunk = 1 << 20
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), chunk)))
-		}
-		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
-		buf = buf[:len(buf)+m]
-		if err != nil {
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
-// nextFrameBytes is NextFrame for the in-memory (mmap) mode: frames are
-// subslices of the mapping, so fetching copies nothing and recycles
-// nothing.
-func (sr *StreamReader) nextFrameBytes() (Frame, error) {
-	frameLen, n := binary.Uvarint(sr.mm[sr.mmPos:])
-	if n <= 0 {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF)
-	}
-	sr.mmPos += n
-	if frameLen == 0 {
-		// Sentinel: verify the trailer then report a clean end.
-		count, n := binary.Uvarint(sr.mm[sr.mmPos:])
-		if n <= 0 {
-			return Frame{}, fmt.Errorf("trace: read binary trailer: %w", io.ErrUnexpectedEOF)
-		}
-		sr.mmPos += n
-		if count != sr.users {
-			return Frame{}, fmt.Errorf("trace: binary trailer user count %d, decoded %d", count, sr.users)
-		}
-		sr.done = true
-		return Frame{}, io.EOF
-	}
-	if frameLen > maxFrameBytes {
-		return Frame{}, fmt.Errorf("trace: binary frame length %d exceeds limit", frameLen)
-	}
-	if uint64(len(sr.mm)-sr.mmPos) < frameLen {
-		return Frame{}, fmt.Errorf("trace: read binary frame: %w", io.ErrUnexpectedEOF)
-	}
-	data := sr.mm[sr.mmPos : sr.mmPos+int(frameLen)]
-	sr.mmPos += int(frameLen)
-	sr.users++
-	return Frame{data: data}, nil
+	return Frame{data: data, buf: bp}, nil
 }
 
 // RecycleUser returns a decoded user to the reader's record pool so a
@@ -750,7 +471,7 @@ func (sr *StreamReader) RecycleUser(u *User) {
 }
 
 // Users returns the number of user frames fetched so far.
-func (sr *StreamReader) Users() int { return int(sr.users) }
+func (sr *StreamReader) Users() int { return int(sr.frames.Count()) }
 
 // DecodeFrame decodes and validates one frame fetched from this reader
 // (trace invariants and checkin POI references, but not cross-frame
@@ -773,7 +494,7 @@ func (sr *StreamReader) DecodeFrame(f Frame) (*User, error) {
 // field is overwritten below, so a reused record carries nothing over);
 // otherwise the pool misses and this allocates exactly as before.
 func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
-	d := frameDec{data: data}
+	d := wire.NewDec(data, "trace: binary frame")
 	u, _ = sr.upool.Get().(*User)
 	if u == nil {
 		u = &User{}
@@ -787,15 +508,15 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 			u = nil
 		}
 	}()
-	u.ID = int(d.varint())
-	u.Days = d.f64()
-	u.Profile.Friends = int(d.varint())
-	u.Profile.Badges = int(d.varint())
-	u.Profile.Mayors = int(d.varint())
-	u.Profile.CheckinsPerDay = d.f64()
+	u.ID = int(d.Varint())
+	u.Days = d.F64()
+	u.Profile.Friends = int(d.Varint())
+	u.Profile.Badges = int(d.Varint())
+	u.Profile.Mayors = int(d.Varint())
+	u.Profile.CheckinsPerDay = d.F64()
 
-	nGPS := d.uvarint()
-	if d.err == nil {
+	nGPS := d.Uvarint()
+	if d.Err() == nil {
 		if hint := int(min(nGPS, allocHint)); cap(u.GPS) < hint {
 			u.GPS = make(GPSTrace, 0, hint)
 		} else {
@@ -804,15 +525,15 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 	}
 	var t int64
 	var lat, lon int64
-	for i := uint64(0); i < nGPS && d.err == nil; i++ {
+	for i := uint64(0); i < nGPS && d.Err() == nil; i++ {
 		if i == 0 {
-			t = d.varint()
+			t = d.Varint()
 		} else {
-			t += int64(d.uvarint())
+			t += int64(d.Uvarint())
 		}
-		lat += d.varint()
-		lon += d.varint()
-		indoor := d.byte()
+		lat += d.Varint()
+		lon += d.Varint()
+		indoor := d.Byte()
 		u.GPS = append(u.GPS, GPSPoint{
 			T:      t,
 			Loc:    geo.LatLon{Lat: fromE7(lat), Lon: fromE7(lon)},
@@ -820,8 +541,8 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 		})
 	}
 
-	nCk := d.uvarint()
-	if d.err == nil {
+	nCk := d.Uvarint()
+	if d.Err() == nil {
 		if hint := int(min(nCk, allocHint)); cap(u.Checkins) < hint {
 			u.Checkins = make(CheckinTrace, 0, hint)
 		} else {
@@ -829,25 +550,31 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 		}
 	}
 	t = 0
-	for i := uint64(0); i < nCk && d.err == nil; i++ {
+	for i := uint64(0); i < nCk && d.Err() == nil; i++ {
 		if i == 0 {
-			t = d.varint()
+			t = d.Varint()
 		} else {
-			t += int64(d.uvarint())
+			t += int64(d.Uvarint())
 		}
 		c := Checkin{T: t}
-		c.POIID = int(d.uvarint())
-		c.POIName = d.strIntern(sr.names)
-		c.Category = poi.Category(d.varint())
-		c.Loc = d.latlon()
-		c.Truth = d.label()
+		c.POIID = int(d.Uvarint())
+		// Claimed names overwhelmingly repeat venue names: a hit in the
+		// intern table reuses the canonical string without allocating.
+		name := d.StrBytes()
+		if c.POIName = sr.names[string(name)]; c.POIName == "" {
+			c.POIName = string(name)
+		}
+		c.Category = poi.Category(d.Varint())
+		lat := d.Varint()
+		c.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(d.Varint())}
+		c.Truth = DecodeLabel(&d)
 		u.Checkins = append(u.Checkins, c)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, len(d.data)-d.pos)
+	if d.Left() != 0 {
+		return nil, fmt.Errorf("trace: binary frame for user %d has %d trailing bytes", u.ID, d.Left())
 	}
 
 	if err := u.Validate(); err != nil {
@@ -878,32 +605,6 @@ func (s userFrames) NextFrame() (Frame, error) {
 
 // DecodeFrame unwraps a pre-decoded frame (there is nothing to decode).
 func (s userFrames) DecodeFrame(f Frame) (*User, error) { return f.user, nil }
-
-// readString reads a uvarint-prefixed string from a header stream.
-func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", noEOF(err)
-	}
-	if n > maxStringBytes {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", noEOF(err)
-	}
-	return string(buf), nil
-}
-
-// noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a header
-// or frame, running out of bytes is truncation, not a clean end, and must
-// never be mistaken for the iterator's end-of-stream signal.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
 
 // --- whole-dataset convenience ---
 

@@ -8,6 +8,7 @@ package trace_test
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"geosocial/internal/geo"
+	"geosocial/internal/outcome"
 	"geosocial/internal/poi"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
@@ -238,11 +240,14 @@ func TestBinaryTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestForgedFrameLengthAllocatesByBytes feeds a truncated .bin.gz
-// whose first frame claims (almost) the 1 GiB limit but carries a few
-// bytes: decoding must fail with io.ErrUnexpectedEOF having allocated
-// in proportion to the bytes received, not to the length prefix.
+// TestForgedFrameLengthAllocatesByBytes feeds each binary format a
+// stream whose first length prefix claims (almost) its limit but which
+// carries a few bytes: decoding must fail with io.ErrUnexpectedEOF
+// having allocated in proportion to the bytes received, not to the
+// length prefix. The GSB1 case is a .bin.gz, so it takes the buffered
+// (non-mmap) frame path.
 func TestForgedFrameLengthAllocatesByBytes(t *testing.T) {
+	dir := t.TempDir()
 	var hdr bytes.Buffer
 	empty := &trace.Dataset{Name: "forged", POIs: []poi.POI{
 		{ID: 0, Name: "A", Category: poi.Food, Loc: geo.LatLon{Lat: 34.42, Lon: -119.7}},
@@ -261,25 +266,97 @@ func TestForgedFrameLengthAllocatesByBytes(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "forged.bin.gz")
-	if err := os.WriteFile(path, gz.Bytes(), 0o666); err != nil {
+	gsbPath := filepath.Join(dir, "forged.bin.gz")
+	if err := os.WriteFile(gsbPath, gz.Bytes(), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	s, err := trace.OpenStream(path)
+	// An empty outcome log likewise ends in sentinel and count; replace
+	// them with a record claiming the 2^28 - 1 byte record limit.
+	gsoPath := filepath.Join(dir, "forged.gso")
+	w, err := outcome.Create(gsoPath, "forged")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Next()
-	s.Close()
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("forged frame: err %v, want io.ErrUnexpectedEOF", err)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
-		t.Fatalf("forged 1 GiB prefix allocated %d bytes", grew)
+	gso, err := os.ReadFile(gsoPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gso = append(binary.AppendUvarint(gso[:len(gso)-2], 1<<28-1), 'a', 'b', 'c')
+	if err := os.WriteFile(gsoPath, gso, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fragment with one open section whose first chunk claims 2^28
+	// bytes (chunk lengths are stored plus one).
+	var frag bytes.Buffer
+	fw, err := trace.NewFragmentWriter(&frag, map[string]string{"k": "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Section("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// Finish wrote the section end, the empty name and the count: 3 bytes.
+	chunkRaw := append(binary.AppendUvarint(frag.Bytes()[:frag.Len()-3], 1<<28+1), 'a', 'b', 'c')
+	// A fragment header whose one key claims the 1 MiB string limit.
+	keyRaw := binary.AppendUvarint([]byte("GSF1\x01\x01"), 1<<20)
+	keyRaw = append(keyRaw, 'a', 'b', 'c')
+
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"GSB1 frame claims 1 GiB", func() error {
+			s, err := trace.OpenStream(gsbPath)
+			if err != nil {
+				return err
+			}
+			defer s.Close()
+			_, err = s.Next()
+			return err
+		}},
+		{"GSO1 record claims 2^28-1", func() error {
+			lf, err := outcome.Open(gsoPath)
+			if err != nil {
+				return err
+			}
+			defer lf.Close()
+			_, err = lf.Next()
+			return err
+		}},
+		{"GSF1 chunk claims 2^28", func() error {
+			fr, err := trace.NewFragmentReader(bytes.NewReader(chunkRaw))
+			if err != nil {
+				return err
+			}
+			if _, err := fr.NextSection(); err != nil {
+				return err
+			}
+			_, err = fr.NextChunk()
+			return err
+		}},
+		{"GSF1 key claims 1 MiB", func() error {
+			_, err := trace.NewFragmentReader(bytes.NewReader(keyRaw))
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err %v, want io.ErrUnexpectedEOF", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: allocated %d bytes", tc.name, grew)
+		}
 	}
 }
 

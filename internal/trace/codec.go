@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // Format identifies an on-disk dataset encoding.
@@ -279,7 +280,7 @@ func DetectFormat(path string) (Format, error) {
 	// "Not binary" must mean readable non-binary bytes, not a read
 	// failure: an empty or unreadable file is an error, never "JSON".
 	if _, err := br.Peek(1); err != nil {
-		return FormatJSON, fmt.Errorf("trace: detect format: %w", noEOF(err))
+		return FormatJSON, fmt.Errorf("trace: detect format: %w", wire.NoEOF(err))
 	}
 	return FormatJSON, nil
 }

@@ -30,11 +30,11 @@ package trace
 // lets fragments be content-addressed.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
+
+	"geosocial/internal/wire"
 )
 
 // fragmentMagic identifies the fragment container format.
@@ -44,11 +44,8 @@ var fragmentMagic = [4]byte{'G', 'S', 'F', '1'}
 const fragmentVersion = 1
 
 const (
-	// maxFragmentChunk caps one chunk so a corrupt length prefix cannot
-	// trigger a multi-gigabyte allocation.
+	// maxFragmentChunk caps one chunk.
 	maxFragmentChunk = 1 << 28
-	// maxFragmentString caps an encoded key, value or section name.
-	maxFragmentString = 1 << 20
 	// maxFragmentKeys bounds the header key count.
 	maxFragmentKeys = 1 << 10
 )
@@ -59,58 +56,40 @@ const (
 // management of its own — callers own the destination (and its
 // atomic-publish discipline).
 type FragmentWriter struct {
-	w       *bufio.Writer
-	scratch []byte
-	chunks  uint64
-	inSect  bool
-	done    bool
-	err     error
+	w      *wire.Writer
+	chunks uint64
+	inSect bool
+	done   bool
 }
 
 // NewFragmentWriter writes the fragment magic, version and sorted key
 // header and returns a writer positioned before the first section.
 func NewFragmentWriter(w io.Writer, keys map[string]string) (*FragmentWriter, error) {
-	fw := &FragmentWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := fw.w.Write(fragmentMagic[:]); err != nil {
-		return nil, fmt.Errorf("trace: write fragment: %w", err)
-	}
-	fw.uvarint(fragmentVersion)
+	fw := &FragmentWriter{w: wire.NewWriter(w)}
+	fw.w.Raw(fragmentMagic[:])
+	fw.w.Uvarint(fragmentVersion)
 	names := make([]string, 0, len(keys))
 	for k := range keys {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	fw.uvarint(uint64(len(names)))
+	fw.w.Uvarint(uint64(len(names)))
 	for _, k := range names {
-		fw.str(k)
-		fw.str(keys[k])
+		fw.w.Str(k)
+		fw.w.Str(keys[k])
 	}
-	if fw.err != nil {
-		return nil, fw.err
+	if err := fw.err(); err != nil {
+		return nil, err
 	}
 	return fw, nil
 }
 
-// uvarint appends one uvarint to the stream.
-func (fw *FragmentWriter) uvarint(v uint64) {
-	if fw.err != nil {
-		return
+// err returns the writer's first write error, wrapped.
+func (fw *FragmentWriter) err() error {
+	if err := fw.w.Err(); err != nil {
+		return fmt.Errorf("trace: write fragment: %w", err)
 	}
-	fw.scratch = binary.AppendUvarint(fw.scratch[:0], v)
-	if _, err := fw.w.Write(fw.scratch); err != nil {
-		fw.err = fmt.Errorf("trace: write fragment: %w", err)
-	}
-}
-
-// str appends one length-prefixed string to the stream.
-func (fw *FragmentWriter) str(s string) {
-	fw.uvarint(uint64(len(s)))
-	if fw.err != nil {
-		return
-	}
-	if _, err := fw.w.WriteString(s); err != nil {
-		fw.err = fmt.Errorf("trace: write fragment: %w", err)
-	}
+	return nil
 }
 
 // Section closes any open section and starts a new one. The name must
@@ -123,11 +102,11 @@ func (fw *FragmentWriter) Section(name string) error {
 		return fmt.Errorf("trace: empty fragment section name")
 	}
 	if fw.inSect {
-		fw.uvarint(0) // end the previous section
+		fw.w.Uvarint(0) // end the previous section
 	}
-	fw.str(name)
+	fw.w.Str(name)
 	fw.inSect = true
-	return fw.err
+	return fw.err()
 }
 
 // Chunk appends one chunk to the open section.
@@ -141,13 +120,10 @@ func (fw *FragmentWriter) Chunk(b []byte) error {
 	if len(b) > maxFragmentChunk {
 		return fmt.Errorf("trace: fragment chunk of %d bytes exceeds limit", len(b))
 	}
-	fw.uvarint(uint64(len(b)) + 1)
-	if fw.err != nil {
-		return fw.err
-	}
-	if _, err := fw.w.Write(b); err != nil {
-		fw.err = fmt.Errorf("trace: write fragment: %w", err)
-		return fw.err
+	fw.w.Uvarint(uint64(len(b)) + 1)
+	fw.w.Raw(b)
+	if err := fw.err(); err != nil {
+		return err
 	}
 	fw.chunks++
 	return nil
@@ -157,23 +133,17 @@ func (fw *FragmentWriter) Chunk(b []byte) error {
 // and flushes. The fragment is complete and verifiable only after
 // Finish returns nil.
 func (fw *FragmentWriter) Finish() error {
-	if fw.done {
-		return fw.err
+	if !fw.done {
+		fw.done = true
+		if fw.inSect {
+			fw.w.Uvarint(0)
+			fw.inSect = false
+		}
+		fw.w.Str("") // end of sections
+		fw.w.Uvarint(fw.chunks)
+		fw.w.Flush()
 	}
-	fw.done = true
-	if fw.inSect {
-		fw.uvarint(0)
-		fw.inSect = false
-	}
-	fw.str("") // end of sections
-	fw.uvarint(fw.chunks)
-	if fw.err != nil {
-		return fw.err
-	}
-	if err := fw.w.Flush(); err != nil {
-		fw.err = fmt.Errorf("trace: write fragment: %w", err)
-	}
-	return fw.err
+	return fw.err()
 }
 
 // FragmentReader decodes a GSF1 fragment sequentially: header keys at
@@ -181,7 +151,7 @@ func (fw *FragmentWriter) Finish() error {
 // verified when NextSection reports io.EOF, so a truncated fragment is
 // always a decode error, never a silently short read.
 type FragmentReader struct {
-	r      *bufio.Reader
+	r      *wire.Reader
 	keys   map[string]string
 	chunks uint64
 	buf    []byte
@@ -191,80 +161,25 @@ type FragmentReader struct {
 
 // NewFragmentReader parses the fragment magic, version and key header.
 func NewFragmentReader(r io.Reader) (*FragmentReader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read fragment: %w", noEOF(err))
-	}
-	if magic != fragmentMagic {
-		return nil, fmt.Errorf("trace: not a fragment (magic %q)", magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read fragment: %w", noEOF(err))
-	}
-	if version != fragmentVersion {
-		return nil, fmt.Errorf("trace: unsupported fragment version %d (have %d)", version, fragmentVersion)
-	}
-	nkeys, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read fragment: %w", noEOF(err))
-	}
-	if nkeys > maxFragmentKeys {
+	wr := wire.NewReader(r)
+	wr.Header(fragmentMagic, fragmentVersion, "a fragment")
+	nkeys := wr.Uvarint()
+	if wr.Err() == nil && nkeys > maxFragmentKeys {
 		return nil, fmt.Errorf("trace: fragment key count %d exceeds limit", nkeys)
 	}
-	fr := &FragmentReader{r: br, keys: make(map[string]string, nkeys)}
-	for i := uint64(0); i < nkeys; i++ {
-		k, err := fr.readStr()
-		if err != nil {
-			return nil, fmt.Errorf("trace: read fragment header: %w", err)
-		}
-		v, err := fr.readStr()
-		if err != nil {
-			return nil, fmt.Errorf("trace: read fragment header: %w", err)
-		}
-		fr.keys[k] = v
+	fr := &FragmentReader{r: wr, keys: make(map[string]string, min(nkeys, maxFragmentKeys))}
+	for i := uint64(0); i < nkeys && wr.Err() == nil; i++ {
+		k := wr.Str()
+		fr.keys[k] = wr.Str()
+	}
+	if err := wr.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read fragment header: %w", err)
 	}
 	return fr, nil
 }
 
 // Keys returns the fragment's identifying key/value header.
 func (fr *FragmentReader) Keys() map[string]string { return fr.keys }
-
-// scratch returns fr.buf resized to size, growing geometrically so a
-// fragment with many similar-sized chunks settles on one allocation
-// instead of reallocating whenever a chunk is a byte larger than its
-// predecessor. The returned slice is invalidated by the next scratch
-// call (NextChunk documents the same reuse to its callers).
-func (fr *FragmentReader) scratch(size uint64) []byte {
-	if uint64(cap(fr.buf)) < size {
-		newCap := 2 * uint64(cap(fr.buf))
-		if newCap < size {
-			newCap = size
-		}
-		fr.buf = make([]byte, newCap)
-	}
-	return fr.buf[:size]
-}
-
-// readStr reads one length-prefixed string.
-func (fr *FragmentReader) readStr() (string, error) {
-	n, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return "", noEOF(err)
-	}
-	if n > maxFragmentString {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	buf := fr.scratch(n)
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return "", noEOF(err)
-	}
-	return string(buf), nil
-}
 
 // NextSection advances to the next section and returns its name, or
 // io.EOF after the final section once the trailer has been verified.
@@ -283,14 +198,14 @@ func (fr *FragmentReader) NextSection() (string, error) {
 			}
 		}
 	}
-	name, err := fr.readStr()
-	if err != nil {
+	name := fr.r.Str()
+	if err := fr.r.Err(); err != nil {
 		return "", fmt.Errorf("trace: read fragment section: %w", err)
 	}
 	if name == "" {
-		count, err := binary.ReadUvarint(fr.r)
-		if err != nil {
-			return "", fmt.Errorf("trace: read fragment trailer: %w", noEOF(err))
+		count := fr.r.Uvarint()
+		if err := fr.r.Err(); err != nil {
+			return "", fmt.Errorf("trace: read fragment trailer: %w", err)
 		}
 		if count != fr.chunks {
 			return "", fmt.Errorf("trace: fragment trailer says %d chunks, read %d", count, fr.chunks)
@@ -309,22 +224,20 @@ func (fr *FragmentReader) NextChunk() ([]byte, error) {
 	if !fr.inSect {
 		return nil, fmt.Errorf("trace: fragment chunk read outside a section")
 	}
-	n, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read fragment chunk: %w", noEOF(err))
+	n := fr.r.Uvarint()
+	if err := fr.r.Err(); err != nil {
+		return nil, fmt.Errorf("trace: read fragment chunk: %w", err)
 	}
 	if n == 0 {
 		fr.inSect = false
 		return nil, io.EOF
 	}
-	size := n - 1
-	if size > maxFragmentChunk {
+	if size := n - 1; size > maxFragmentChunk {
 		return nil, fmt.Errorf("trace: fragment chunk of %d bytes exceeds limit", size)
 	}
-	buf := fr.scratch(size)
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return nil, fmt.Errorf("trace: read fragment chunk: %w", noEOF(err))
+	if fr.buf = fr.r.Bytes(fr.buf, n-1); fr.r.Err() != nil {
+		return nil, fmt.Errorf("trace: read fragment chunk: %w", fr.r.Err())
 	}
 	fr.chunks++
-	return buf, nil
+	return fr.buf, nil
 }

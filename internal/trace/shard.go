@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"geosocial/internal/poi"
+	"geosocial/internal/wire"
 )
 
 // ManifestSuffix is the conventional file-name suffix of a shard-set
@@ -100,9 +101,9 @@ type Manifest struct {
 // encodings are byte-identical, which is the invariant a shard set
 // needs — every shard must decode checkins against the same venues.
 func POIChecksum(pois []poi.POI) string {
-	var e frameEnc
-	e.poiTable(pois)
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(e.buf))
+	var e wire.Enc
+	encodePOITable(&e, pois)
+	return fmt.Sprintf("sha256:%x", sha256.Sum256(e.Buf))
 }
 
 // ShardOptions configures NewShardWriter.
@@ -242,31 +243,37 @@ func (w *ShardWriter) Close() error {
 		})
 		m.Users += sf.sw.Users()
 	}
-	// All streams are complete; move them into place, then publish the
-	// manifest last, so a manifest on disk always describes complete
-	// shards. A failure anywhere past the first rename must also undo
-	// the renames already done: without a manifest the final files are
-	// unreachable, and discard only knows about temp paths.
-	var renamed []string
-	undo := func() {
+	// All streams are complete. Stage the manifest (encoded and synced
+	// under a temp name) before any shard appears under its final name,
+	// so the shards are visible without a manifest only for the few
+	// renames below, then publish the manifest last: a manifest on disk
+	// always describes complete shards. A failure past the first rename
+	// must also undo the renames already done: without a manifest the
+	// final files are unreachable, and discard only knows temp paths.
+	m.POIChecksum = w.poiChecksum
+	tmp, err := stageManifest(w.ManifestPath(), &m)
+	if err != nil {
+		w.discard()
+		return err
+	}
+	renamed := []string{tmp}
+	undo := func(err error) error {
 		w.discard()
 		for _, p := range renamed {
 			os.Remove(p)
 		}
+		return fmt.Errorf("trace: shard writer: %w", err)
 	}
 	for _, sf := range w.shards {
 		final := filepath.Join(w.dir, sf.final)
 		if err := os.Rename(sf.tmp, final); err != nil {
-			undo()
-			return fmt.Errorf("trace: shard writer: %w", err)
+			return undo(err)
 		}
 		sf.tmp = ""
 		renamed = append(renamed, final)
 	}
-	m.POIChecksum = w.poiChecksum
-	if err := writeManifest(w.ManifestPath(), &m); err != nil {
-		undo()
-		return err
+	if err := os.Rename(tmp, w.ManifestPath()); err != nil {
+		return undo(err)
 	}
 	return nil
 }
@@ -288,9 +295,24 @@ func (w *ShardWriter) discard() {
 
 // writeManifest atomically writes the manifest JSON to path.
 func writeManifest(path string, m *Manifest) error {
+	tmp, err := stageManifest(path, m)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("trace: write manifest: %w", err)
+	}
+	return nil
+}
+
+// stageManifest writes the manifest JSON to a synced temp file next to
+// path and returns the temp file's name; renaming it to path publishes
+// the manifest. On error no temp file is left behind.
+func stageManifest(path string, m *Manifest) (string, error) {
 	f, err := createTemp(path)
 	if err != nil {
-		return fmt.Errorf("trace: write manifest: %w", err)
+		return "", fmt.Errorf("trace: write manifest: %w", err)
 	}
 	tmp := f.Name()
 	enc := json.NewEncoder(f)
@@ -298,7 +320,7 @@ func writeManifest(path string, m *Manifest) error {
 	if err := enc.Encode(m); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
+		return "", fmt.Errorf("trace: write manifest: %w", err)
 	}
 	// The manifest's bytes must reach the disk before the rename can
 	// publish the name: a crash after an unsynced rename could leave
@@ -307,17 +329,13 @@ func writeManifest(path string, m *Manifest) error {
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
+		return "", fmt.Errorf("trace: write manifest: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
+		return "", fmt.Errorf("trace: write manifest: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: write manifest: %w", err)
-	}
-	return nil
+	return tmp, nil
 }
 
 // SaveShards writes the dataset as a sharded binary corpus in dir and

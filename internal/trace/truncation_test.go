@@ -13,6 +13,7 @@ import (
 	"geosocial/internal/geo"
 	"geosocial/internal/poi"
 	"geosocial/internal/rng"
+	"geosocial/internal/wire"
 )
 
 // walkUser builds user id's traces starting at t0: a random walk of
@@ -100,18 +101,20 @@ func shardFixture(tb testing.TB, venues, baseFixes, deltaFixes int) (base, delta
 // inside the header reopen raw[:n] through one reused bufio.Reader.
 // Cuts at or after the first frame replay the stream from the start of
 // the frame that holds the cut, with the state one full walk reached
-// there (frames counted, seen IDs, the same header and intern table),
-// so each of them reads at most one frame. The replay reader is reused
-// across cuts, so its frame buffer pool stays warm.
+// there (seen IDs, the same header and intern table), so each of them
+// reads at most one frame. A replay's frame reader counts from zero, so
+// the one replay that reaches the trailer gets the trailer restated for
+// the frames it reads; a cut never completes the trailer, so no cut
+// depends on the count. The replay reader is reused across cuts, so its
+// frame buffer pool stays warm.
 func TestDeltaShardTruncation(t *testing.T) {
 	_, raw := shardFixture(t, 1200, 1000, 4000)
 
 	// One full walk records each frame's start offset and the reader
 	// state there; the last mark is the start of the sentinel+trailer.
 	type mark struct {
-		off   int
-		users uint64
-		seen  map[int]struct{}
+		off  int
+		seen map[int]struct{}
 	}
 	r := bytes.NewReader(raw)
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -121,7 +124,7 @@ func TestDeltaShardTruncation(t *testing.T) {
 	}
 	var marks []mark
 	for {
-		marks = append(marks, mark{off: len(raw) - r.Len() - br.Buffered(), users: full.users, seen: maps.Clone(full.seen)})
+		marks = append(marks, mark{off: len(raw) - r.Len() - br.Buffered(), seen: maps.Clone(full.seen)})
 		if _, err := full.Next(); err == io.EOF {
 			break
 		} else if err != nil {
@@ -138,10 +141,20 @@ func TestDeltaShardTruncation(t *testing.T) {
 			t.Fatalf("truncation to %d of %d bytes (header) decoded cleanly", n, len(raw))
 		}
 	}
-	rs := &StreamReader{r: br, name: full.name, pois: full.pois, names: full.names}
-	replay := func(m mark, end int) error {
-		br.Reset(bytes.NewReader(raw[m.off:end]))
-		rs.users, rs.seen, rs.done = m.users, maps.Clone(m.seen), false
+	rs := &StreamReader{name: full.name, pois: full.pois, names: full.names}
+	last := len(marks) - 1
+	replay := func(k, end int) error {
+		m := marks[k]
+		tail := raw[m.off:end]
+		if end == len(raw) {
+			var restated wire.Enc
+			restated.Buf = append(restated.Buf, raw[m.off:marks[last].off]...)
+			restated.Uvarint(0)
+			restated.Uvarint(uint64(last - k))
+			tail = restated.Buf
+		}
+		br.Reset(bytes.NewReader(tail))
+		rs.frames, rs.seen = wire.NewFrames(wire.NewReader(br), maxFrameBytes), maps.Clone(m.seen)
 		for {
 			if _, err := rs.Next(); err == io.EOF {
 				return nil
@@ -152,8 +165,8 @@ func TestDeltaShardTruncation(t *testing.T) {
 	}
 	// The replay is only sound if every mark replays the rest of the
 	// stream cleanly.
-	for k, m := range marks {
-		if err := replay(m, len(raw)); err != nil {
+	for k := range marks {
+		if err := replay(k, len(raw)); err != nil {
 			t.Fatalf("replay from mark %d failed: %v", k, err)
 		}
 	}
@@ -162,9 +175,9 @@ func TestDeltaShardTruncation(t *testing.T) {
 		for k+1 < len(marks) && marks[k+1].off <= n {
 			k++
 		}
-		if replay(marks[k], n) == nil {
+		if replay(k, n) == nil {
 			where := fmt.Sprintf("frame %d", k)
-			if k == len(marks)-1 {
+			if k == last {
 				where = "trailer"
 			}
 			t.Fatalf("truncation to %d of %d bytes (%s) decoded cleanly", n, len(raw), where)

@@ -15,29 +15,15 @@ package visits
 // only finalized when an observed fix breaks it (roam radius or time
 // gap) or the trace ends, and both paths take those decisions from the
 // same scan.
-//
-// The open-window state round-trips through EncodeState/RestoreState —
-// a self-delimiting binary blob suited to a GSF1 fragment chunk — so a
-// checkpointed ingest can park a user mid-stream and resume when its
-// next day arrives.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"geosocial/internal/geo"
 	"geosocial/internal/poi"
 	"geosocial/internal/trace"
 )
-
-// segStateVersion is the EncodeState blob version.
-const segStateVersion = 1
-
-// maxStatePoints caps the fix count a RestoreState blob may claim, so a
-// corrupt length prefix cannot trigger a huge allocation.
-const maxStatePoints = 1 << 24
 
 // Segmenter carries visit detection's open stay-point state between
 // feeds. Create with NewSegmenter; not safe for concurrent use.
@@ -59,10 +45,6 @@ func NewSegmenter(cfg Config, db *poi.DB) (*Segmenter, error) {
 	}
 	return &Segmenter{cfg: cfg, db: db}, nil
 }
-
-// Pending returns the number of fixes held in the open tail window —
-// the whole state a resumed feed re-examines.
-func (s *Segmenter) Pending() int { return len(s.buf) }
 
 // Feed appends fixes to the stream and returns the visits that became
 // decidable. Fixes must continue the trace in non-decreasing time
@@ -147,97 +129,4 @@ func (s *Segmenter) drain(finish bool) []trace.Visit {
 			s.buf = s.buf[1:]
 		}
 	}
-}
-
-// EncodeState serializes the open-window state (not the configuration)
-// as a self-delimiting blob, losslessly — coordinates keep their full
-// float64 bits, so a restored segmenter continues bit-for-bit like the
-// original.
-func (s *Segmenter) EncodeState() []byte {
-	buf := []byte{segStateVersion}
-	var flags byte
-	if s.have {
-		flags |= 1
-	}
-	if s.finished {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendVarint(buf, s.lastT)
-	buf = binary.AppendUvarint(buf, uint64(len(s.buf)))
-	for _, p := range s.buf {
-		buf = binary.AppendVarint(buf, p.T)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Loc.Lat))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Loc.Lon))
-		if p.Indoor {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// RestoreState replaces the segmenter's open-window state with a blob
-// produced by EncodeState (under the same configuration). Any decode
-// inconsistency is an error and leaves the segmenter unchanged.
-func (s *Segmenter) RestoreState(data []byte) error {
-	if len(data) < 2 {
-		return fmt.Errorf("visits: segmenter state truncated")
-	}
-	if data[0] != segStateVersion {
-		return fmt.Errorf("visits: unsupported segmenter state version %d", data[0])
-	}
-	flags := data[1]
-	if flags > 3 {
-		return fmt.Errorf("visits: bad segmenter state flags %#x", flags)
-	}
-	pos := 2
-	lastT, n := binary.Varint(data[pos:])
-	if n <= 0 {
-		return fmt.Errorf("visits: bad segmenter state time")
-	}
-	pos += n
-	count, n := binary.Uvarint(data[pos:])
-	if n <= 0 || count > maxStatePoints {
-		return fmt.Errorf("visits: bad segmenter state fix count")
-	}
-	pos += n
-	buf := make([]trace.GPSPoint, 0, count)
-	prevT := int64(math.MinInt64)
-	for i := uint64(0); i < count; i++ {
-		t, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return fmt.Errorf("visits: bad segmenter state fix %d", i)
-		}
-		pos += n
-		if pos+17 > len(data) {
-			return fmt.Errorf("visits: segmenter state truncated at fix %d", i)
-		}
-		p := trace.GPSPoint{
-			T: t,
-			Loc: geo.LatLon{
-				Lat: math.Float64frombits(binary.LittleEndian.Uint64(data[pos:])),
-				Lon: math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8:])),
-			},
-			Indoor: data[pos+16] != 0,
-		}
-		pos += 17
-		if p.T < prevT {
-			return fmt.Errorf("visits: segmenter state fixes out of order")
-		}
-		prevT = p.T
-		buf = append(buf, p)
-	}
-	if pos != len(data) {
-		return fmt.Errorf("visits: %d trailing bytes in segmenter state", len(data)-pos)
-	}
-	if count > 0 && (flags&1 == 0 || buf[count-1].T > lastT) {
-		return fmt.Errorf("visits: inconsistent segmenter state")
-	}
-	s.buf = buf
-	s.lastT = lastT
-	s.have = flags&1 != 0
-	s.finished = flags&2 != 0
-	return nil
 }

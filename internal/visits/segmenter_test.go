@@ -1,7 +1,6 @@
 package visits
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -72,106 +71,6 @@ func TestSegmenterChunkedEquivalence(t *testing.T) {
 	}
 }
 
-// TestSegmenterStateRoundTrip: park a segmenter mid-stream via
-// EncodeState, restore into a fresh one, continue — the combined output
-// must equal batch Detect, at every possible split point.
-func TestSegmenterStateRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
-	tr := randomTrace(7, 120)
-	want, err := Detect(tr, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut <= len(tr); cut++ {
-		s1, err := NewSegmenter(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := s1.Feed(tr[:cut])
-		if err != nil {
-			t.Fatal(err)
-		}
-		state := s1.EncodeState()
-		s2, err := NewSegmenter(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.RestoreState(state); err != nil {
-			t.Fatalf("cut %d: restore: %v", cut, err)
-		}
-		vs, err := s2.Feed(tr[cut:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, vs...)
-		out = append(out, s2.Finish()...)
-		if !reflect.DeepEqual(out, want) {
-			t.Fatalf("cut %d: %d visits, batch %d", cut, len(out), len(want))
-		}
-	}
-}
-
-// TestSegmenterStateFragment: segmenter state survives the GSF1 fragment
-// container used by the checkpoint machinery.
-func TestSegmenterStateFragment(t *testing.T) {
-	cfg := DefaultConfig()
-	tr := randomTrace(11, 80)
-	s1, err := NewSegmenter(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := s1.Feed(tr[:50])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	fw, err := trace.NewFragmentWriter(&buf, map[string]string{"kind": "segmenter"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Section("state"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Chunk(s1.EncodeState()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	fr, err := trace.NewFragmentReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.NextSection(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := fr.NextChunk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSegmenter(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.RestoreState(blob); err != nil {
-		t.Fatal(err)
-	}
-	tail, err := s2.Feed(tr[50:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append(append(head, tail...), s2.Finish()...)
-	want, err := Detect(tr, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%d visits after fragment round trip, batch %d", len(got), len(want))
-	}
-}
-
 // TestSegmenterTailOnlyState: after a window-breaking fix the segmenter
 // holds only the open tail, so appending a day carries O(tail) state, not
 // the user's history.
@@ -192,12 +91,9 @@ func TestSegmenterTailOnlyState(t *testing.T) {
 		if _, err := s.Feed(trace.GPSTrace{{T: tm, Loc: at(loc)}}); err != nil {
 			t.Fatal(err)
 		}
-		if p := s.Pending(); p > 101 {
+		if p := len(s.buf); p > 101 {
 			t.Fatalf("pending %d fixes after %d: open window leaking history", p, i+1)
 		}
-	}
-	if len(s.EncodeState()) > 64*101 {
-		t.Fatalf("state blob %d bytes: encodes more than the open tail", len(s.EncodeState()))
 	}
 }
 
@@ -225,38 +121,5 @@ func TestSegmenterFeedAfterFinish(t *testing.T) {
 	}
 	if _, err := s.Feed(trace.GPSTrace{{T: 0, Loc: at(0)}}); err == nil {
 		t.Fatal("feed after finish accepted")
-	}
-}
-
-func TestSegmenterRestoreRejectsCorrupt(t *testing.T) {
-	s, err := NewSegmenter(DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Feed(stationary(nil, at(0), 0, 4)); err != nil {
-		t.Fatal(err)
-	}
-	good := s.EncodeState()
-	bad := [][]byte{
-		nil,
-		{segStateVersion},
-		{99, 0, 0, 0},                        // wrong version
-		{segStateVersion, 7, 0, 0},           // bad flags
-		append(append([]byte{}, good...), 0), // trailing byte
-	}
-	for i := 1; i < len(good); i++ {
-		bad = append(bad, good[:i]) // every strict prefix
-	}
-	fresh, err := NewSegmenter(DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, data := range bad {
-		if err := fresh.RestoreState(data); err == nil {
-			t.Errorf("corrupt state %d accepted", i)
-		}
-	}
-	if err := fresh.RestoreState(good); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
 	}
 }
