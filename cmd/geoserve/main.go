@@ -70,6 +70,15 @@ import (
 	"geosocial/internal/obs"
 )
 
+// A client that stalls while sending request headers, or idles on a
+// keep-alive connection, loses the connection after these. There is
+// deliberately no ReadTimeout or WriteTimeout: a large upload body or a
+// ?wait=1 long-poll may legitimately take longer than any fixed bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // errUsage signals a flag-parse failure the flag package has already
 // reported to stderr; main exits 2 without printing it again.
 var errUsage = errors.New("usage")
@@ -175,7 +184,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// (tests and scripts parse this line).
 	fmt.Fprintf(stdout, "geoserve: listening on http://%s (spool %s)\n", ln.Addr(), *spool)
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -330,6 +331,33 @@ func TestDebugAddrServesPprof(t *testing.T) {
 	_, resp = getBody(t, baseURL+"/debug/pprof/")
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("public API listener serves /debug/pprof")
+	}
+}
+
+// TestStalledClientLosesConnection: a client that sends part of a
+// request line and then nothing loses its connection once the header
+// timeout runs out, rather than holding it forever.
+func TestStalledClientLosesConnection(t *testing.T) {
+	t.Parallel()
+	baseURL, _, shutdown := startServer(t)
+	defer shutdown()
+
+	start := time.Now()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(baseURL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 10 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %v after a stalled request line: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }
 

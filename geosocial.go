@@ -290,6 +290,9 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("geosocial: %w", err)
 	}
+	if ss.Manifest.Shards[0].Delta { // manifests list every base shard first
+		return nil, fmt.Errorf("geosocial: %s: shard set has no base shards", path)
+	}
 	k := len(ss.Manifest.Shards)
 	var fold *trace.DeltaSet
 	if ss.Manifest.Generation > 0 {
@@ -299,7 +302,6 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 	}
 	srcs := make([]trace.FrameSource, k)
 	labels := shardLabels(ss)
-	var db *poi.DB
 	for i := 0; i < k; i++ {
 		if ss.Manifest.Shards[i].Delta {
 			// Delta shards are not streamed — their content is already in
@@ -315,14 +317,14 @@ func validateShardSet(path string, opts StreamOptions) (*StreamResult, error) {
 		if srcs[i] = r; fold != nil {
 			srcs[i] = fold.FoldSource(r)
 		}
-		if db == nil {
-			if db, err = poi.NewDB(r.POIs()); err != nil {
-				return nil, fmt.Errorf("geosocial: %w", err)
-			}
-		}
 	}
-	if db == nil {
-		return nil, fmt.Errorf("geosocial: %s: shard set has no base shards", path)
+	pois, err := ss.POIs()
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
+	}
+	db, err := poi.NewDB(pois)
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	var ck *ckptRun
 	if fold == nil {
@@ -508,8 +510,8 @@ func (c *ckptRun) record(i int, r userResult) error {
 
 // commit publishes live shard i's fragment. It runs when the merge
 // reports the shard's clean end: every user of the shard has been
-// accounted, and a ShardReader reports that end only after verifying
-// the trailer and the manifest user count.
+// accounted, and a shard's reader reports that end only after
+// verifying the trailer and the manifest user count.
 func (c *ckptRun) commit(e *engine, i int) error {
 	if c == nil {
 		return nil

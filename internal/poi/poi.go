@@ -105,21 +105,33 @@ type DB struct {
 	grid *geo.GridIndex
 }
 
-// NewDB builds a database over the given POIs. POI IDs must be unique and
-// equal to their index (the synthetic generator guarantees this; loaders
-// should renumber otherwise).
-func NewDB(pois []POI) (*DB, error) {
-	pts := make([]geo.LatLon, len(pois))
+// CheckTable reports whether pois is a valid venue table: IDs equal to
+// their index (the synthetic generator guarantees this; loaders should
+// renumber otherwise), valid locations and known categories. It is the
+// check NewDB runs, without building the spatial index.
+func CheckTable(pois []POI) error {
 	for i, p := range pois {
 		if p.ID != i {
-			return nil, fmt.Errorf("poi: POI at index %d has ID %d (must equal index)", i, p.ID)
+			return fmt.Errorf("poi: POI at index %d has ID %d (must equal index)", i, p.ID)
 		}
 		if !p.Loc.Valid() {
-			return nil, fmt.Errorf("poi: POI %d has invalid location %v", p.ID, p.Loc)
+			return fmt.Errorf("poi: POI %d has invalid location %v", p.ID, p.Loc)
 		}
 		if !p.Category.Valid() {
-			return nil, fmt.Errorf("poi: POI %d has invalid category %d", p.ID, int(p.Category))
+			return fmt.Errorf("poi: POI %d has invalid category %d", p.ID, int(p.Category))
 		}
+	}
+	return nil
+}
+
+// NewDB builds a database over the given POIs, which must pass
+// CheckTable.
+func NewDB(pois []POI) (*DB, error) {
+	if err := CheckTable(pois); err != nil {
+		return nil, err
+	}
+	pts := make([]geo.LatLon, len(pois))
+	for i, p := range pois {
 		pts[i] = p.Loc
 	}
 	return &DB{pois: append([]POI(nil), pois...), grid: geo.NewGridIndex(pts, 500)}, nil

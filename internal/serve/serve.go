@@ -735,7 +735,7 @@ func (s *Server) runJob(j *job, path string) {
 		} else if s.cfg.MaxCheckpointRuns > 0 {
 			// The run's progress stays for the retry, but the tier as a
 			// whole is bounded: oldest interrupted runs go first.
-			pruneSubdirs(s.checkpointsDir, s.cfg.MaxCheckpointRuns)
+			pruneDir(s.checkpointsDir, s.cfg.MaxCheckpointRuns, os.DirEntry.IsDir)
 		}
 	}
 
@@ -777,7 +777,7 @@ func (s *Server) runJob(j *job, path string) {
 			prune := s.cfg.MaxOutcomeLogs > 0 && s.outcomeLogs.count > s.cfg.MaxOutcomeLogs
 			s.outcomeLogs.Unlock()
 			if prune {
-				n := pruneDir(s.outcomesDir, ".gso", s.cfg.MaxOutcomeLogs)
+				n := pruneDir(s.outcomesDir, s.cfg.MaxOutcomeLogs, filesWithSuffix(".gso"))
 				s.outcomeLogs.Lock()
 				s.outcomeLogs.count = n
 				s.outcomeLogs.Unlock()

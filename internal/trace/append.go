@@ -27,8 +27,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"geosocial/internal/poi"
 )
 
 // foldUser merges a user's base frame with the delta frames appended
@@ -96,29 +94,27 @@ func MergeSets(ss *ShardSet) (*DeltaSet, error) {
 		}
 	}
 	ds := newDeltaSet()
-	_, err := ss.scan(first, len(ss.Manifest.Shards), nil, ds.add)
+	err := ss.scan(first, len(ss.Manifest.Shards), nil, ds.add)
 	return ds, err
 }
 
 // MergeSince returns the fold index of the users touched by shards
 // first.. of the set — every frame those users have anywhere in the
-// set, in shard-list order, with Home the first shard holding one — and
-// the POI table the shards share (nil when first is past the last
-// shard). Shards from first on are decoded in full; earlier shards are
-// read by ID peek, decoding only the touched users' frames, so the cost
-// is O(appended + touched) decode plus one pass over the earlier
-// shards' frame bytes.
-func (ss *ShardSet) MergeSince(first int) (*DeltaSet, []poi.POI, error) {
+// set, in shard-list order, with Home the first shard holding one.
+// Shards from first on are decoded in full; earlier shards are read by
+// ID peek, decoding only the touched users' frames, so the cost is
+// O(appended + touched) decode plus one pass over the earlier shards'
+// frame bytes.
+func (ss *ShardSet) MergeSince(first int) (*DeltaSet, error) {
 	fresh := newDeltaSet()
 	n := len(ss.Manifest.Shards)
-	pois, err := ss.scan(first, n, nil, fresh.add)
-	if err != nil {
-		return nil, nil, err
+	if err := ss.scan(first, n, nil, fresh.add); err != nil {
+		return nil, err
 	}
 	ds := newDeltaSet()
 	touched := func(id int) bool { _, ok := fresh.users[id]; return ok }
-	if _, err := ss.scan(0, first, touched, ds.add); err != nil {
-		return nil, nil, err
+	if err := ss.scan(0, first, touched, ds.add); err != nil {
+		return nil, err
 	}
 	for id, frames := range fresh.users {
 		if _, ok := ds.home[id]; !ok {
@@ -126,7 +122,7 @@ func (ss *ShardSet) MergeSince(first int) (*DeltaSet, []poi.POI, error) {
 		}
 		ds.users[id] = append(ds.users[id], frames...)
 	}
-	return ds, pois, nil
+	return ds, nil
 }
 
 func newDeltaSet() *DeltaSet {
@@ -215,7 +211,6 @@ func (fs foldSource) DecodeFrame(f Frame) (*User, error) {
 type AppendWriter struct {
 	ss           *ShardSet
 	manifestPath string
-	pois         []poi.POI
 	compress     bool
 	users        []*User
 	byID         map[int]*User
@@ -223,9 +218,10 @@ type AppendWriter struct {
 }
 
 // OpenAppend opens a shard set (manifest path or directory) for
-// appending one generation. The POI table is read from the first shard;
-// appended checkins must reference it (the table itself is immutable
-// across generations, as the manifest's POI checksum enforces).
+// appending one generation; it reads the manifest only. Appended
+// checkins must reference the set's POI table (the table itself is
+// immutable across generations, as the manifest's POI checksum
+// enforces).
 func OpenAppend(path string) (*AppendWriter, error) {
 	ss, err := OpenShardSet(path)
 	if err != nil {
@@ -237,18 +233,9 @@ func OpenAppend(path string) (*AppendWriter, error) {
 			return nil, err
 		}
 	}
-	r, err := ss.OpenShard(0)
-	if err != nil {
-		return nil, err
-	}
-	pois := append([]poi.POI(nil), r.POIs()...)
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("trace: append: %w", err)
-	}
 	return &AppendWriter{
 		ss:           ss,
 		manifestPath: manifestPath,
-		pois:         pois,
 		compress:     strings.HasSuffix(ss.Manifest.Shards[0].File, ".gz"),
 		byID:         make(map[int]*User),
 	}, nil
@@ -256,9 +243,6 @@ func OpenAppend(path string) (*AppendWriter, error) {
 
 // Name returns the dataset name of the set being appended to.
 func (aw *AppendWriter) Name() string { return aw.ss.Manifest.Name }
-
-// POIs returns the set's shared POI table.
-func (aw *AppendWriter) POIs() []poi.POI { return aw.pois }
 
 // Generation returns the generation this append will produce.
 func (aw *AppendWriter) Generation() int { return aw.ss.Manifest.Generation + 1 }
@@ -277,7 +261,11 @@ func (aw *AppendWriter) WriteUser(u *User) error {
 	if err := u.Validate(); err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
-	if err := u.validateRefs(len(aw.pois)); err != nil {
+	pois, err := aw.ss.POIs()
+	if err != nil {
+		return err
+	}
+	if err := u.validateRefs(len(pois)); err != nil {
 		return fmt.Errorf("trace: append: %w", err)
 	}
 	if _, dup := aw.byID[u.ID]; dup {
@@ -289,19 +277,16 @@ func (aw *AppendWriter) WriteUser(u *User) error {
 }
 
 // AppendStream feeds a whole GSB1 delta stream into the writer after
-// verifying its header matches the set (dataset name and POI-table
-// checksum) — the wire form of an append, as accepted by the serve
-// layer's append endpoint.
+// checking its header against the set exactly as OpenShard checks a
+// shard's (dataset name and POI table) — the wire form of an append, as
+// accepted by the serve layer's append endpoint.
 func (aw *AppendWriter) AppendStream(r io.Reader) error {
-	sr, err := NewStreamReader(r)
+	sr, err := newStreamReader(r, aw.ss.tab)
+	if err == nil {
+		err = aw.ss.adopt(sr)
+	}
 	if err != nil {
-		return err
-	}
-	if sr.Name() != aw.ss.Manifest.Name {
-		return fmt.Errorf("trace: append: stream is for dataset %q, set is %q", sr.Name(), aw.ss.Manifest.Name)
-	}
-	if sum := POIChecksum(sr.POIs()); sum != aw.ss.Manifest.POIChecksum {
-		return fmt.Errorf("trace: append: stream POI checksum %s, set has %s", sum, aw.ss.Manifest.POIChecksum)
+		return fmt.Errorf("trace: append: stream: %w", err)
 	}
 	for {
 		u, err := sr.Next()
@@ -335,7 +320,7 @@ func (aw *AppendWriter) Close() error {
 	// earlier frames (ID peek; only their frames are decoded).
 	existing := newDeltaSet()
 	touched := func(id int) bool { _, ok := aw.byID[id]; return ok }
-	if _, err := aw.ss.scan(0, len(aw.ss.Manifest.Shards), touched, existing.add); err != nil {
+	if err := aw.ss.scan(0, len(aw.ss.Manifest.Shards), touched, existing.add); err != nil {
 		return err
 	}
 	newUsers := 0
@@ -377,7 +362,7 @@ func (aw *AppendWriter) Close() error {
 		gz = gzip.NewWriter(f)
 		sink = gz
 	}
-	sw, err := NewStreamWriter(sink, name, aw.pois)
+	sw, err := NewStreamWriter(sink, name, aw.ss.tab.pois)
 	if err != nil {
 		return fail(err)
 	}

@@ -287,12 +287,16 @@ func TestAppendSecondGeneration(t *testing.T) {
 	// MergeSince the last generation: exactly its users, each folded
 	// from every frame in the set and homed on its base shard.
 	last := len(ss.Manifest.Shards) - 1
-	since, pois, err := ss.MergeSince(last)
+	since, err := ss.MergeSince(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pois, err := ss.POIs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pois) != len(full.POIs) {
-		t.Fatalf("MergeSince POI table has %d venues, want %d", len(pois), len(full.POIs))
+		t.Fatalf("shard set POI table has %d venues, want %d", len(pois), len(full.POIs))
 	}
 	var wantIDs []int
 	for _, u := range gen2 {

@@ -48,6 +48,8 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -117,8 +119,8 @@ func encodeLatLon(e *wire.Enc, p geo.LatLon) {
 
 // encodePOITable encodes a POI table as the header carries it: the
 // count, then each venue's name, category, E7 location and popularity.
-// Both the writer and POIChecksum use it, so the checksum is the hash
-// of the bytes a header holds.
+// The writer, POIChecksum and a shard set's table check use it, so the
+// checksum is the hash of the bytes a header holds.
 func encodePOITable(e *wire.Enc, pois []poi.POI) {
 	e.Uvarint(uint64(len(pois)))
 	for _, p := range pois {
@@ -127,6 +129,35 @@ func encodePOITable(e *wire.Enc, pois []poi.POI) {
 		encodeLatLon(e, p.Loc)
 		e.F64(p.Popularity)
 	}
+}
+
+// checksumOf is the "sha256:<hex>" form manifests record.
+func checksumOf(b []byte) string { return fmt.Sprintf("sha256:%x", sha256.Sum256(b)) }
+
+// poiTable is a decoded, checked venue table. A shard set shares one
+// among all the readers it opens, with canon, the table's canonical
+// header encoding, set: every later shard header must repeat it.
+type poiTable struct {
+	pois  []poi.POI
+	names map[string]string // POI-name intern table, read-only
+	canon []byte            // encodePOITable(pois), set by the owning shard set
+}
+
+// newPOITable checks pois and builds its intern table for checkin
+// names: claimed names overwhelmingly repeat venue-table names, and a
+// map[string]string lookup keyed by string(bytes) does not allocate on
+// a hit, so steady-state decode reuses one canonical string per venue.
+// The table is read-only afterwards, hence safe under concurrent
+// DecodeFrame calls.
+func newPOITable(pois []poi.POI) (*poiTable, error) {
+	if err := poi.CheckTable(pois); err != nil {
+		return nil, err
+	}
+	names := make(map[string]string, len(pois))
+	for _, p := range pois {
+		names[p.Name] = p.Name
+	}
+	return &poiTable{pois: pois, names: names}, nil
 }
 
 // --- stream writer ---
@@ -150,7 +181,7 @@ type StreamWriter struct {
 
 // NewStreamWriter validates the POI table and writes the stream header.
 func NewStreamWriter(w io.Writer, name string, pois []poi.POI) (*StreamWriter, error) {
-	if _, err := poi.NewDB(pois); err != nil {
+	if err := poi.CheckTable(pois); err != nil {
 		return nil, fmt.Errorf("trace: write binary: %w", err)
 	}
 	sw := &StreamWriter{
@@ -279,14 +310,19 @@ func (sw *StreamWriter) Close() error {
 // Next, not DecodeFrame: callers of the two-stage API that interleave
 // frames from several readers own the (inherently serial) duplicate
 // check across their merged stream.
+//
+// A reader from OpenStream or ShardSet.OpenShard owns its file; Close
+// releases it. A shard's reader also checks its frame count against
+// the manifest at the end of the stream.
 type StreamReader struct {
-	frames *wire.Frames // in memory (NewStreamReaderBytes): no copy, no buffer pool
-	name   string
-	pois   []poi.POI
-	names  map[string]string // POI-name intern table, read-only after header
-	seen   map[int]struct{}
-	bufs   sync.Pool // *[]byte, recycled by DecodeFrame
-	upool  sync.Pool // *User, recycled by RecycleUser
+	frames  *wire.Frames // in memory (newStreamReaderBytes): no copy, no buffer pool
+	name    string
+	tab     *poiTable // shared by every reader of a shard set
+	seen    map[int]struct{}
+	bufs    sync.Pool   // *[]byte, recycled by DecodeFrame
+	upool   sync.Pool   // *User, recycled by RecycleUser
+	closers []io.Closer // file handles, released by Close
+	shard   *ShardInfo  // manifest entry of a shard's reader, else nil
 }
 
 // UserRecycler is implemented by frame sources whose DecodeFrame can
@@ -322,11 +358,11 @@ func (f Frame) UserID() (int, error) {
 	return int(id), d.Err()
 }
 
-// Recycle returns an undecoded frame's buffer to the reader's pool
+// recycle returns an undecoded frame's buffer to the reader's pool
 // without decoding it — the counterpart of DecodeFrame for callers that
 // peek (Frame.UserID) and skip frames. The frame must not be used
 // afterwards.
-func (sr *StreamReader) Recycle(f Frame) {
+func (sr *StreamReader) recycle(f Frame) {
 	if f.buf != nil {
 		sr.bufs.Put(f.buf)
 	}
@@ -348,49 +384,58 @@ type FrameSource interface {
 // NewStreamReader decodes and validates the stream header. The reader
 // expects uncompressed bytes; callers own gzip unwrapping (OpenStream
 // does both).
-func NewStreamReader(r io.Reader) (*StreamReader, error) {
+func NewStreamReader(r io.Reader) (*StreamReader, error) { return newStreamReader(r, nil) }
+
+// newStreamReader reads the stream header. With tab nil it decodes and
+// checks the header's POI table. Otherwise the header must carry tab's
+// canonical bytes exactly, and the reader shares tab: the encoding is
+// self-delimiting, so equal bytes are an equal table.
+func newStreamReader(r io.Reader, tab *poiTable) (*StreamReader, error) {
 	wr := wire.NewReader(r)
 	wr.Header(binaryMagic, binaryVersion, "a binary dataset")
-	sr := &StreamReader{frames: wire.NewFrames(wr, maxFrameBytes), seen: make(map[int]struct{})}
+	sr := &StreamReader{frames: wire.NewFrames(wr, maxFrameBytes), tab: tab, seen: make(map[int]struct{})}
 	sr.name = wr.Str()
+	if tab != nil {
+		same := bytes.Equal(wr.Bytes(nil, uint64(len(tab.canon))), tab.canon)
+		if err := wr.Err(); err != nil {
+			return nil, fmt.Errorf("trace: read binary header: %w", err)
+		}
+		if !same {
+			return nil, errors.New("POI table differs from the shard set's")
+		}
+		return sr, nil
+	}
 	nPOIs := wr.Uvarint()
-	sr.pois = make([]poi.POI, 0, min(nPOIs, allocHint))
+	pois := make([]poi.POI, 0, min(nPOIs, allocHint))
 	for i := uint64(0); i < nPOIs && wr.Err() == nil; i++ {
 		p := poi.POI{ID: int(i), Name: wr.Str()}
 		p.Category = poi.Category(wr.Varint())
 		lat := wr.Varint()
 		p.Loc = geo.LatLon{Lat: fromE7(lat), Lon: fromE7(wr.Varint())}
 		p.Popularity = wr.F64()
-		sr.pois = append(sr.pois, p)
+		pois = append(pois, p)
 	}
 	if err := wr.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read binary header: %w", err)
 	}
-	if _, err := poi.NewDB(sr.pois); err != nil {
+	var err error
+	if sr.tab, err = newPOITable(pois); err != nil {
 		return nil, fmt.Errorf("trace: invalid POI table: %w", err)
-	}
-	// Intern table for checkin POI names: claimed names overwhelmingly
-	// repeat venue-table names, and a map[string]string lookup keyed by
-	// string(bytes) does not allocate on a hit, so steady-state decode
-	// reuses one canonical string per venue. Read-only after the header,
-	// hence safe under concurrent DecodeFrame calls.
-	sr.names = make(map[string]string, len(sr.pois))
-	for _, p := range sr.pois {
-		sr.names[p.Name] = p.Name
 	}
 	return sr, nil
 }
 
-// NewStreamReaderBytes opens a binary dataset held entirely in memory —
-// typically an mmap'ed uncompressed shard. Frames are sliced directly
-// from data with no copying and no buffer pool; data must remain valid
-// and unmodified for the lifetime of the reader and of every frame it
-// yields. Decoded users never alias data (strings are interned or
-// copied), so they outlive an unmap.
-func NewStreamReaderBytes(data []byte) (*StreamReader, error) {
+// newStreamReaderBytes opens a binary dataset held entirely in memory —
+// typically an mmap'ed uncompressed shard; tab is as for
+// newStreamReader. Frames are sliced directly from data with no
+// copying and no buffer pool; data must remain valid and unmodified for
+// the lifetime of the reader and of every frame it yields. Decoded
+// users never alias data (strings are interned or copied), so they
+// outlive an unmap.
+func newStreamReaderBytes(data []byte, tab *poiTable) (*StreamReader, error) {
 	r := bytes.NewReader(data)
 	br := bufio.NewReaderSize(r, 1<<16)
-	sr, err := NewStreamReader(br)
+	sr, err := newStreamReader(br, tab)
 	if err != nil {
 		return nil, err
 	}
@@ -401,9 +446,30 @@ func NewStreamReaderBytes(data []byte) (*StreamReader, error) {
 // Name returns the dataset name from the header.
 func (sr *StreamReader) Name() string { return sr.name }
 
-// POIs returns the decoded POI table. The slice is owned by the reader;
-// callers must not mutate it.
-func (sr *StreamReader) POIs() []poi.POI { return sr.pois }
+// POIs returns the decoded POI table. The slice is owned by the reader
+// (and shared with the other readers of a shard set); callers must not
+// mutate it.
+func (sr *StreamReader) POIs() []poi.POI { return sr.tab.pois }
+
+// Close releases the file handles of a reader from OpenStream or
+// OpenShard; a reader over a caller's io.Reader holds none. Safe to
+// call more than once.
+func (sr *StreamReader) Close() error {
+	err := closeAll(sr.closers)
+	sr.closers = nil
+	return err
+}
+
+// closeAll closes every closer in order and returns the first error.
+func closeAll(closers []io.Closer) error {
+	var first error
+	for _, c := range closers {
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
 // Next decodes, validates and returns the next user, or io.EOF once the
 // end-of-stream trailer has been read and verified. A truncated or
@@ -430,9 +496,10 @@ func (sr *StreamReader) decodeUnique(f Frame) (*User, error) {
 }
 
 // NextFrame fetches the next raw user frame without decoding it, or
-// io.EOF once the end-of-stream trailer has been read and verified. The
-// frame's buffer comes from the reader's pool and is reclaimed by
-// DecodeFrame, so each frame must be decoded exactly once.
+// io.EOF once the end-of-stream trailer (and, for a shard, the
+// manifest's user count) has been read and verified. The frame's
+// buffer comes from the reader's pool and is reclaimed by DecodeFrame,
+// so each frame must be decoded exactly once.
 func (sr *StreamReader) NextFrame() (Frame, error) {
 	var bp *[]byte // nil in memory: frames are subslices, nothing to pool
 	var buf []byte
@@ -449,6 +516,8 @@ func (sr *StreamReader) NextFrame() (Frame, error) {
 		}
 		if err != io.EOF {
 			err = fmt.Errorf("trace: binary stream: %w", err)
+		} else if sr.shard != nil && sr.Users() != sr.shard.Users {
+			err = fmt.Errorf("trace: shard %s has %d users, manifest says %d", sr.shard.File, sr.Users(), sr.shard.Users)
 		}
 		return Frame{}, err
 	}
@@ -561,7 +630,7 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 		// Claimed names overwhelmingly repeat venue names: a hit in the
 		// intern table reuses the canonical string without allocating.
 		name := d.StrBytes()
-		if c.POIName = sr.names[string(name)]; c.POIName == "" {
+		if c.POIName = sr.tab.names[string(name)]; c.POIName == "" {
 			c.POIName = string(name)
 		}
 		c.Category = poi.Category(d.Varint())
@@ -580,7 +649,7 @@ func (sr *StreamReader) decodeFrame(data []byte) (u *User, err error) {
 	if err := u.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: invalid dataset: %w", err)
 	}
-	if err := u.validateRefs(len(sr.pois)); err != nil {
+	if err := u.validateRefs(len(sr.tab.pois)); err != nil {
 		return nil, fmt.Errorf("trace: invalid dataset: %w", err)
 	}
 	return u, nil

@@ -210,30 +210,61 @@ type closerFunc func() error
 
 func (c closerFunc) Close() error { return c() }
 
-// openMapped tries the zero-copy path for an open file: if the file is
-// mappable and holds an uncompressed binary dataset, it returns a
-// reader slicing frames straight out of the mapping, plus the unmap
-// closer. Any other outcome (gzip, JSON, unsupported platform or file)
-// reports ok=false with the file offset untouched, and the caller runs
-// the buffered streaming path instead.
-func openMapped(f *os.File) (sr *StreamReader, unmap io.Closer, ok bool, err error) {
-	if mmapDisabled {
-		return nil, nil, false, nil
+// openFile is the one opener behind OpenStream and OpenShard. A file
+// holding a binary dataset comes back as a reader that owns the file
+// (its Close releases every handle): sliced straight out of a memory
+// mapping when the file is uncompressed and mappable, else buffered,
+// through gzip when the magic says so. tab is as for newStreamReader.
+// Any other file comes back as sr == nil with its sniffed, uncompressed
+// stream and the handles the caller must close.
+func openFile(path string, tab *poiTable) (sr *StreamReader, other *bufio.Reader, closers []io.Closer, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("trace: open dataset: %w", err)
 	}
-	data, unmapFn, merr := mmapFile(f)
-	if merr != nil {
-		return nil, nil, false, nil
+	closers = []io.Closer{f}
+	if data, unmap, ok := mapBinary(f); ok {
+		closers = []io.Closer{unmap, f}
+		sr, err = newStreamReaderBytes(data, tab)
+	} else {
+		var gz io.Closer
+		if other, gz, err = sniffReader(f); gz != nil {
+			closers = []io.Closer{gz, f}
+		}
+		switch {
+		case err != nil:
+			err = fmt.Errorf("trace: open dataset: %w", err)
+		case !isBinary(other):
+			return nil, other, closers, nil
+		default:
+			sr, err = newStreamReader(other, tab)
+		}
+	}
+	if err != nil {
+		closeAll(closers)
+		return nil, nil, nil, err
+	}
+	sr.closers = closers
+	return sr, nil, nil, nil
+}
+
+// mapBinary memory-maps f when it holds an uncompressed binary dataset
+// and mapping is allowed. Any other outcome (gzip, JSON, unsupported
+// platform or file) reports ok=false with the file offset untouched,
+// and the caller runs the buffered streaming path instead.
+func mapBinary(f *os.File) (data []byte, unmap io.Closer, ok bool) {
+	if mmapDisabled {
+		return nil, nil, false
+	}
+	data, unmapFn, err := mmapFile(f)
+	if err != nil {
+		return nil, nil, false
 	}
 	if len(data) < len(binaryMagic) || [4]byte(data[:len(binaryMagic)]) != binaryMagic {
 		unmapFn()
-		return nil, nil, false, nil
+		return nil, nil, false
 	}
-	sr, err = NewStreamReaderBytes(data)
-	if err != nil {
-		unmapFn()
-		return nil, nil, false, err
-	}
-	return sr, closerFunc(unmapFn), true, nil
+	return data, closerFunc(unmapFn), true
 }
 
 // sniffReader detects gzip by magic bytes (regardless of file suffix) and
@@ -321,8 +352,7 @@ type DatasetStream struct {
 	// Format is the detected on-disk encoding.
 	Format Format
 
-	src     UserSource
-	closers []io.Closer
+	src UserSource
 }
 
 // Next yields the next user, or io.EOF after the last one.
@@ -342,16 +372,13 @@ func (s *DatasetStream) Frames() FrameSource {
 // DB builds the POI database for the stream's venue table.
 func (s *DatasetStream) DB() (*poi.DB, error) { return poi.NewDB(s.POIs) }
 
-// Close releases the stream's file handles. Safe to call more than once.
+// Close releases the stream's file handles (a JSON stream holds none
+// once open). Safe to call more than once.
 func (s *DatasetStream) Close() error {
-	var first error
-	for _, c := range s.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if sr, ok := s.src.(*StreamReader); ok {
+		return sr.Close()
 	}
-	s.closers = nil
-	return first
+	return nil
 }
 
 // OpenStream opens a dataset file for per-user iteration, sniffing
@@ -361,58 +388,17 @@ func (s *DatasetStream) Close() error {
 // input, JSON input and other platforms use the buffered streaming
 // path, with identical results. Callers must Close the returned stream.
 func OpenStream(path string) (*DatasetStream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open dataset: %w", err)
-	}
-	if sr, unmap, ok, err := openMapped(f); err != nil {
-		f.Close()
-		return nil, err
-	} else if ok {
-		return &DatasetStream{
-			Name:    sr.Name(),
-			POIs:    sr.POIs(),
-			Format:  FormatBinary,
-			src:     sr,
-			closers: []io.Closer{unmap, f},
-		}, nil
-	}
-	br, gz, err := sniffReader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: open dataset: %w", err)
-	}
-	closers := []io.Closer{f}
-	if gz != nil {
-		closers = []io.Closer{gz, f}
-	}
-	if isBinary(br) {
-		sr, err := NewStreamReader(br)
-		if err != nil {
-			for _, c := range closers {
-				c.Close()
-			}
-			return nil, err
-		}
-		return &DatasetStream{
-			Name:    sr.Name(),
-			POIs:    sr.POIs(),
-			Format:  FormatBinary,
-			src:     sr,
-			closers: closers,
-		}, nil
-	}
-	ds, err := ReadJSON(br)
-	for _, c := range closers {
-		c.Close()
-	}
+	sr, other, closers, err := openFile(path, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &DatasetStream{
-		Name:   ds.Name,
-		POIs:   ds.POIs,
-		Format: FormatJSON,
-		src:    ds.Source(),
-	}, nil
+	if sr != nil {
+		return &DatasetStream{Name: sr.Name(), POIs: sr.POIs(), Format: FormatBinary, src: sr}, nil
+	}
+	ds, err := ReadJSON(other)
+	closeAll(closers)
+	if err != nil {
+		return nil, err
+	}
+	return &DatasetStream{Name: ds.Name, POIs: ds.POIs, Format: FormatJSON, src: ds.Source()}, nil
 }

@@ -24,8 +24,8 @@ package trace
 
 import (
 	"compress/gzip"
-	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -103,7 +103,7 @@ type Manifest struct {
 func POIChecksum(pois []poi.POI) string {
 	var e wire.Enc
 	encodePOITable(&e, pois)
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(e.Buf))
+	return checksumOf(e.Buf)
 }
 
 // ShardOptions configures NewShardWriter.
@@ -361,12 +361,16 @@ func (d *Dataset) SaveShards(dir string, opts ShardOptions) (string, error) {
 
 // ShardSet is an opened shard-set manifest: the parsed, internally
 // consistent manifest plus the directory its shard files resolve
-// against. OpenShard gives streaming access to one shard.
+// against. OpenShard gives streaming access to one shard. The set owns
+// its corpus's POI table: the first shard opened decodes it, and every
+// reader of the set shares it.
 type ShardSet struct {
 	// Manifest is the validated manifest document.
 	Manifest Manifest
 	// Dir is the directory shard file names resolve against.
 	Dir string
+
+	tab *poiTable // nil until a header has been checked against the manifest
 }
 
 // OpenShardSet opens a sharded corpus from a manifest path or from a
@@ -482,101 +486,74 @@ func findManifest(dir string) (string, error) {
 	}
 }
 
-// ShardReader streams one shard of a shard set. It is a FrameSource
-// whose end-of-stream additionally verifies the shard against the
-// manifest (user count); the header was verified against the manifest
-// at open time (name and POI checksum).
-type ShardReader struct {
-	sr      *StreamReader
-	closers []func() error
-	want    int
-}
-
-// OpenShard opens shard i for streaming and verifies its header carries
-// the manifest's dataset name and an identical POI table.
-func (ss *ShardSet) OpenShard(i int) (*ShardReader, error) {
+// OpenShard opens shard i for streaming and checks its header against
+// the set: the manifest's dataset name, and the set's POI table. The
+// first header the set reads has its table decoded and checked, and
+// the sha256 of the table's canonical encoding must be the manifest's
+// POI checksum. Every later header must carry those bytes exactly; its
+// reader shares the decoded table instead of decoding its own. The
+// reader checks the shard's user count against the manifest at its end
+// of stream.
+//
+// OpenShard is for one goroutine at a time on a given set; the readers
+// it returns are independent of each other.
+func (ss *ShardSet) OpenShard(i int) (*StreamReader, error) {
 	if i < 0 || i >= len(ss.Manifest.Shards) {
 		return nil, fmt.Errorf("trace: shard %d out of range (set has %d)", i, len(ss.Manifest.Shards))
 	}
 	info := ss.Manifest.Shards[i]
-	path := filepath.Join(ss.Dir, info.File)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
+	sr, _, closers, err := openFile(filepath.Join(ss.Dir, info.File), ss.tab)
+	if err == nil && sr == nil {
+		closeAll(closers)
+		err = errors.New("not a binary dataset")
 	}
-	var sr *StreamReader
-	var closers []func() error
-	if msr, unmap, ok, merr := openMapped(f); merr != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: shard %s: %w", info.File, merr)
-	} else if ok {
-		sr = msr
-		closers = []func() error{unmap.Close, f.Close}
-	}
-	fail := func(err error) (*ShardReader, error) {
-		for _, c := range closers {
-			c()
-		}
-		return nil, err
-	}
-	if sr == nil {
-		br, gz, err := sniffReader(f)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: open shard %s: %w", info.File, err)
-		}
-		closers = []func() error{f.Close}
-		if gz != nil {
-			closers = []func() error{gz.Close, f.Close}
-		}
-		if sr, err = NewStreamReader(br); err != nil {
-			return fail(fmt.Errorf("trace: shard %s: %w", info.File, err))
-		}
-	}
-	if sr.Name() != ss.Manifest.Name {
-		return fail(fmt.Errorf("trace: shard %s: dataset name %q, manifest says %q", info.File, sr.Name(), ss.Manifest.Name))
-	}
-	if sum := POIChecksum(sr.POIs()); sum != ss.Manifest.POIChecksum {
-		return fail(fmt.Errorf("trace: shard %s: POI table checksum %s, manifest says %s", info.File, sum, ss.Manifest.POIChecksum))
-	}
-	return &ShardReader{sr: sr, closers: closers, want: info.Users}, nil
-}
-
-// POIs returns the shard's decoded POI table (identical across the set,
-// as enforced by the manifest checksum). The slice is owned by the
-// reader; callers must not mutate it.
-func (r *ShardReader) POIs() []poi.POI { return r.sr.POIs() }
-
-// NextFrame fetches the next raw frame; at the verified end of the
-// stream it additionally checks the frame count against the manifest
-// before reporting io.EOF.
-func (r *ShardReader) NextFrame() (Frame, error) {
-	f, err := r.sr.NextFrame()
 	if err == nil {
-		return f, nil
+		if err = ss.adopt(sr); err != nil {
+			sr.Close()
+		}
 	}
-	if err == io.EOF && r.sr.Users() != r.want {
-		return Frame{}, fmt.Errorf("trace: shard has %d users, manifest says %d", r.sr.Users(), r.want)
+	if err != nil {
+		return nil, fmt.Errorf("trace: shard %s: %w", info.File, err)
 	}
-	return Frame{}, err
+	sr.shard = &info
+	return sr, nil
 }
 
-// DecodeFrame decodes and validates one frame (see StreamReader.DecodeFrame).
-func (r *ShardReader) DecodeFrame(f Frame) (*User, error) { return r.sr.DecodeFrame(f) }
-
-// RecycleUser returns a consumed user record to the shard reader's pool
-// (see StreamReader.RecycleUser and the UserRecycler contract).
-func (r *ShardReader) RecycleUser(u *User) { r.sr.RecycleUser(u) }
-
-// Next decodes the next user serially (NextFrame + DecodeFrame plus a
-// reader-local duplicate check), so a single shard can also be read as
-// a plain UserSource.
-func (r *ShardReader) Next() (*User, error) {
-	f, err := r.NextFrame()
-	if err != nil {
-		return nil, err
+// adopt checks a header just read against the set (the name, and the
+// table's checksum unless the set already holds its table, which
+// newStreamReader then compared byte for byte) and makes the header's
+// table the set's.
+func (ss *ShardSet) adopt(sr *StreamReader) error {
+	if sr.Name() != ss.Manifest.Name {
+		return fmt.Errorf("dataset name %q, manifest says %q", sr.Name(), ss.Manifest.Name)
 	}
-	return r.sr.decodeUnique(f)
+	if ss.tab != nil {
+		return nil
+	}
+	var e wire.Enc
+	encodePOITable(&e, sr.POIs())
+	if sum := checksumOf(e.Buf); sum != ss.Manifest.POIChecksum {
+		return fmt.Errorf("POI table checksum %s, manifest says %s", sum, ss.Manifest.POIChecksum)
+	}
+	sr.tab.canon = e.Buf
+	ss.tab = sr.tab
+	return nil
+}
+
+// POIs returns the set's POI table, reading the first shard's header
+// when no shard of the set has been opened yet. The slice is shared by
+// every reader of the set; callers must not mutate it.
+func (ss *ShardSet) POIs() ([]poi.POI, error) {
+	if ss.tab == nil {
+		r, err := ss.OpenShard(0)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.Close(); err != nil {
+			return nil, fmt.Errorf("trace: close shard %s: %w", ss.Manifest.Shards[0].File, err)
+		}
+	}
+	return ss.tab.pois, nil
 }
 
 // scan is the one shard-scan loop behind MergeSets, MergeSince and the
@@ -586,31 +563,28 @@ func (r *ShardReader) Next() (*User, error) {
 // other frames are recycled undecoded. Each shard is read to its
 // verified end (trailer and manifest user count), decoded IDs are
 // checked for duplicates within the shard, and close errors are
-// reported. It returns the POI table of the last shard opened (the
-// manifest checksum makes every shard's table identical).
-func (ss *ShardSet) scan(from, to int, want func(id int) bool, fn func(shard int, u *User) error) ([]poi.POI, error) {
-	var pois []poi.POI
+// reported.
+func (ss *ShardSet) scan(from, to int, want func(id int) bool, fn func(shard int, u *User) error) error {
 	for i := from; i < to; i++ {
 		r, err := ss.OpenShard(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		pois = r.POIs()
 		err = r.each(want, func(u *User) error { return fn(i, u) })
 		if cerr := r.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("trace: close shard %s: %w", ss.Manifest.Shards[i].File, cerr)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return pois, nil
+	return nil
 }
 
 // each runs scan's per-frame loop over one open shard.
-func (r *ShardReader) each(want func(id int) bool, fn func(*User) error) error {
+func (sr *StreamReader) each(want func(id int) bool, fn func(*User) error) error {
 	for {
-		f, err := r.NextFrame()
+		f, err := sr.NextFrame()
 		if err == io.EOF {
 			return nil
 		}
@@ -620,14 +594,14 @@ func (r *ShardReader) each(want func(id int) bool, fn func(*User) error) error {
 		if want != nil {
 			id, err := f.UserID()
 			if err != nil || !want(id) {
-				r.sr.Recycle(f)
+				sr.recycle(f)
 				if err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		u, err := r.sr.decodeUnique(f)
+		u, err := sr.decodeUnique(f)
 		if err != nil {
 			return err
 		}
@@ -635,16 +609,4 @@ func (r *ShardReader) each(want func(id int) bool, fn func(*User) error) error {
 			return err
 		}
 	}
-}
-
-// Close releases the shard's file handles. Safe to call more than once.
-func (r *ShardReader) Close() error {
-	var first error
-	for _, c := range r.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
-		}
-	}
-	r.closers = nil
-	return first
 }

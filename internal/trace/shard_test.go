@@ -2,14 +2,19 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"geosocial/internal/poi"
 	"geosocial/internal/rng"
 	"geosocial/internal/synth"
 	"geosocial/internal/trace"
@@ -441,6 +446,181 @@ func TestShardSetRejectsInconsistencies(t *testing.T) {
 			t.Error("shard with corrupt magic accepted")
 		}
 	})
+
+	// Tables that decode to a different venue list in the smallest ways:
+	// one venue's popularity off by its lowest mantissa bit, and one
+	// venue more.
+	altTables := []struct {
+		name string
+		edit func([]poi.POI) []poi.POI
+	}{
+		{"popularity bits", func(p []poi.POI) []poi.POI {
+			q := slices.Clone(p)
+			q[0].Popularity = math.Float64frombits(math.Float64bits(q[0].Popularity) ^ 1)
+			return q
+		}},
+		{"one venue more", func(p []poi.POI) []poi.POI {
+			extra := p[len(p)-1]
+			extra.ID = len(p)
+			return append(slices.Clone(p), extra)
+		}},
+	}
+	encode := func(t *testing.T, pois []poi.POI, users []*trace.User, compress bool) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		var sink io.Writer = &buf
+		zw := gzip.NewWriter(&buf)
+		if compress {
+			sink = zw
+		}
+		sw, err := trace.NewStreamWriter(sink, ds.Name, pois)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range users {
+			if err := sw.WriteUser(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, mode := range []struct {
+		name           string
+		compress, mmap bool
+	}{
+		{"mmap", false, true}, {"buffered", false, false}, {"gz", true, false},
+	} {
+		for _, alt := range altTables {
+			t.Run("shard table differs/"+mode.name+"/"+alt.name, func(t *testing.T) {
+				defer trace.SetMmapDisabled(trace.SetMmapDisabled(!mode.mmap))
+				dir := t.TempDir()
+				manifest, err := ds.SaveShards(dir, trace.ShardOptions{Shards: 2, Compress: mode.compress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss, err := trace.OpenShardSet(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The same users, under the other table; the manifest is
+				// left as it is.
+				r, err := ss.OpenShard(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var users []*trace.User
+				for {
+					u, err := r.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					users = append(users, u)
+				}
+				r.Close()
+				raw := encode(t, alt.edit(ds.POIs), users, mode.compress)
+				if err := os.WriteFile(filepath.Join(dir, ss.Manifest.Shards[1].File), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				if ss, err = trace.OpenShardSet(manifest); err != nil {
+					t.Fatal(err)
+				}
+				r0, err := ss.OpenShard(0)
+				if err != nil {
+					t.Fatalf("intact shard 0: %v", err)
+				}
+				defer r0.Close()
+				r1, err := ss.OpenShard(1)
+				if err == nil {
+					r1.Close()
+					t.Fatal("shard with a different POI table accepted")
+				}
+				if !strings.Contains(err.Error(), "POI table") {
+					t.Fatalf("error does not name the POI table: %v", err)
+				}
+			})
+		}
+	}
+
+	t.Run("later shard opened first", func(t *testing.T) {
+		_, ss := newSet(t)
+		for _, i := range []int{1, 0} {
+			r, err := ss.OpenShard(i)
+			if err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+			for {
+				if _, err := r.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	for _, alt := range altTables {
+		// With the set's table not yet read, and read (WriteUser checks
+		// a user against it first).
+		for _, loaded := range []bool{false, true} {
+			t.Run(fmt.Sprintf("append table differs/%s/loaded=%v", alt.name, loaded), func(t *testing.T) {
+				manifest, _ := newSet(t)
+				before, err := os.ReadFile(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				aw, err := trace.OpenAppend(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				newcomer := *ds.Users[0]
+				newcomer.ID = -1
+				for _, u := range ds.Users {
+					newcomer.ID = max(newcomer.ID, u.ID+1)
+				}
+				if loaded {
+					if err := aw.WriteUser(&newcomer); err != nil {
+						t.Fatal(err)
+					}
+					newcomer.ID++
+				}
+				raw := encode(t, alt.edit(ds.POIs), []*trace.User{&newcomer}, false)
+				err = aw.AppendStream(bytes.NewReader(raw))
+				if err == nil {
+					t.Fatal("delta stream with a different POI table accepted")
+				}
+				if !strings.Contains(err.Error(), "POI") {
+					t.Fatalf("error does not name the POI table or its checksum: %v", err)
+				}
+				after, err := os.ReadFile(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, before) {
+					t.Fatal("failed append changed the manifest")
+				}
+				ss, err := trace.OpenShardSet(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ss.Manifest.Generation != 0 {
+					t.Fatalf("failed append moved the set to generation %d", ss.Manifest.Generation)
+				}
+			})
+		}
+	}
 
 	t.Run("not a manifest", func(t *testing.T) {
 		dir := t.TempDir()

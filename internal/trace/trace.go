@@ -211,7 +211,7 @@ func (u *User) Validate() error {
 }
 
 // validateRefs checks that every checkin claims a POI that exists in a
-// table of numPOIs entries (IDs equal indices, as poi.NewDB enforces).
+// table of numPOIs entries (IDs equal indices, as poi.CheckTable enforces).
 func (u *User) validateRefs(numPOIs int) error {
 	for i, c := range u.Checkins {
 		if c.POIID < 0 || c.POIID >= numPOIs {
@@ -241,7 +241,7 @@ var ErrEmptyDataset = errors.New("trace: empty dataset")
 // (Summarize keys visit counts by ID, so duplicates would silently merge
 // rows) and every checkin must claim a POI that exists in the table.
 func (d *Dataset) Validate() error {
-	if _, err := poi.NewDB(d.POIs); err != nil {
+	if err := poi.CheckTable(d.POIs); err != nil {
 		return err
 	}
 	seen := make(map[int]struct{}, len(d.Users))

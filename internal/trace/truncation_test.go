@@ -141,7 +141,7 @@ func TestDeltaShardTruncation(t *testing.T) {
 			t.Fatalf("truncation to %d of %d bytes (header) decoded cleanly", n, len(raw))
 		}
 	}
-	rs := &StreamReader{name: full.name, pois: full.pois, names: full.names}
+	rs := &StreamReader{name: full.name, tab: full.tab}
 	last := len(marks) - 1
 	replay := func(k, end int) error {
 		m := marks[k]

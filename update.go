@@ -89,13 +89,13 @@ func UpdateValidation(path string, prev *StreamResult, prevLog string, opts Stre
 	// with all its frames — the earlier shards are read by ID peek — and
 	// its home shard, the first holding a frame of it (the cold path's
 	// attribution rule).
-	var pois []poi.POI
-	ds, err := foldIndex(opts.Spans, func() (ds *trace.DeltaSet, err error) {
-		ds, pois, err = ss.MergeSince(old)
-		return ds, err
-	})
+	ds, err := foldIndex(opts.Spans, func() (*trace.DeltaSet, error) { return ss.MergeSince(old) })
 	if err != nil {
 		return nil, err
+	}
+	pois, err := ss.POIs()
+	if err != nil {
+		return nil, fmt.Errorf("geosocial: %w", err)
 	}
 	db, err := poi.NewDB(pois)
 	if err != nil {
